@@ -52,6 +52,26 @@ let registry =
       hr_why = "histogram observe on sample cadence" };
     { hr_file = "lib/obs/metrics.ml"; hr_binding = "set_gauge";
       hr_why = "gauge store on sample cadence" };
+    (* The memory substrate: every warm deploy clones a root, every
+       COW or zero-fill fault allocates a frame and writes an entry,
+       and every retired UC releases its table. *)
+    { hr_file = "lib/mem/page_table.ml"; hr_binding = "clone_shallow";
+      hr_why = "per deploy and per snapshot capture: the root copy SEUSS \
+                makes instead of booting" };
+    { hr_file = "lib/mem/page_table.ml"; hr_binding = "set";
+      hr_why = "per fault and per flag update: the entry write, with \
+                leaf privatization on the first write through a shared \
+                leaf" };
+    { hr_file = "lib/mem/page_table.ml"; hr_binding = "release";
+      hr_why = "per destroyed UC and evicted snapshot: returns leaves, \
+                roots and frame references" };
+    { hr_file = "lib/mem/frame.ml"; hr_binding = "alloc";
+      hr_why = "per COW copy and zero fill" };
+    { hr_file = "lib/mem/frame.ml"; hr_binding = "decref";
+      hr_why = "per overwritten entry and per entry of every released \
+                leaf" };
+    { hr_file = "lib/mem/addr_space.ml"; hr_binding = "touch_write";
+      hr_why = "the guest write fault handler: per written page" };
     (* Trace-context propagation: per spawned/forked unit of work. *)
     { hr_file = "lib/sim/trace.ml"; hr_binding = "fork";
       hr_why = "span-context fork on every spawn" };

@@ -73,6 +73,7 @@ let start_trace t =
   t.trace <- Some [];
   t.trace_len <- 0
 
+(* seussheat: cold — records only while a REAP working-set trace is armed, once per function *)
 let record_fault t vpn =
   match t.trace with
   | None -> ()
@@ -94,6 +95,11 @@ let take_trace t =
       List.rev vpns
 
 let tracing t = t.trace <> None
+
+(* seussheat: cold — the error path of a write to a read-only page *)
+let protection_violation op vpn =
+  invalid_arg
+    (Printf.sprintf "Addr_space.%s: protection violation at vpn %d" op vpn)
 
 let touch_write t ~vpn =
   let e = Page_table.get t.pt ~vpn in
@@ -128,10 +134,7 @@ let touch_write t ~vpn =
     t.on_fault Cow_copy;
     Cow_copy
   end
-  else
-    invalid_arg
-      (Printf.sprintf "Addr_space.touch_write: protection violation at vpn %d"
-         vpn)
+  else protection_violation "touch_write" vpn
 
 let touch_read t ~vpn =
   let e = Page_table.get t.pt ~vpn in
@@ -201,10 +204,7 @@ let prefault t ~vpns =
         t.dirty_count <- t.dirty_count + 1;
         incr cow
       end
-      else
-        invalid_arg
-          (Printf.sprintf "Addr_space.prefault: protection violation at vpn %d"
-             vpn))
+      else protection_violation "prefault" vpn)
     vpns;
   {
     requested = List.length vpns;

@@ -4,14 +4,17 @@ exception Out_of_memory
 
 type t = {
   budget_frames : int;
-  (* refcounts.(id) = 0 means the slot is free (and sits on free_list). *)
+  (* refcounts.(id) = 0 means the slot is free (and on the free list). *)
   mutable refcounts : int array;
-  (* tags.(id) = 0 means untagged; a nonzero tag is a content identity
-     stamped by the snapshot store and cleared when the frame is freed,
-     so a recycled id can never masquerade as old content. *)
+  (* For a live frame, tags.(id) = 0 means untagged; a nonzero tag is a
+     content identity stamped by the snapshot store. A free frame's slot
+     instead links the free list: it holds the next free id, or -1. A
+     frame's tag is reset when it is reallocated, so a recycled id can
+     never masquerade as old content. *)
   mutable tags : int array;
   mutable next_fresh : int;
-  mutable free_list : int list;
+  (* Most recently freed frame (LIFO reuse), or -1. *)
+  mutable free_head : int;
   mutable live : int;
   mutable peak : int;
   mutable allocs : int;
@@ -25,7 +28,7 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
     refcounts = Array.make 4096 0;
     tags = Array.make 4096 0;
     next_fresh = 0;
-    free_list = [];
+    free_head = -1;
     live = 0;
     peak = 0;
     allocs = 0;
@@ -34,6 +37,7 @@ let create ?(budget_bytes = Mconfig.default_budget_bytes) () =
 let budget_frames t = t.budget_frames
 let budget_bytes t = Mconfig.bytes_of_pages t.budget_frames
 
+(* seussheat: cold — amortized doubling of the frame columns *)
 let ensure_capacity t id =
   if id >= Array.length t.refcounts then begin
     let cap = max (id + 1) (2 * Array.length t.refcounts) in
@@ -49,15 +53,18 @@ let ensure_capacity t id =
 let alloc t =
   if t.live >= t.budget_frames then raise Out_of_memory;
   let id =
-    match t.free_list with
-    | id :: rest ->
-        t.free_list <- rest;
-        id
-    | [] ->
-        let id = t.next_fresh in
-        t.next_fresh <- id + 1;
-        ensure_capacity t id;
-        id
+    if t.free_head >= 0 then begin
+      let id = t.free_head in
+      t.free_head <- t.tags.(id);
+      t.tags.(id) <- 0;
+      id
+    end
+    else begin
+      let id = t.next_fresh in
+      t.next_fresh <- id + 1;
+      ensure_capacity t id;
+      id
+    end
   in
   t.refcounts.(id) <- 1;
   t.live <- t.live + 1;
@@ -65,9 +72,13 @@ let alloc t =
   t.allocs <- t.allocs + 1;
   id
 
+(* seussheat: cold — the error path of a checked misuse *)
+let dead_frame name id =
+  invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
+
 let check_live t id name =
   if id < 0 || id >= t.next_fresh || t.refcounts.(id) = 0 then
-    invalid_arg (Printf.sprintf "Frame.%s: dead frame %d" name id)
+    dead_frame name id
 
 let incref t id =
   check_live t id "incref";
@@ -77,8 +88,8 @@ let decref t id =
   check_live t id "decref";
   t.refcounts.(id) <- t.refcounts.(id) - 1;
   if t.refcounts.(id) = 0 then begin
-    t.tags.(id) <- 0;
-    t.free_list <- id :: t.free_list;
+    t.tags.(id) <- t.free_head;
+    t.free_head <- id;
     t.live <- t.live - 1
   end
 

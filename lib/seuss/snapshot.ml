@@ -110,13 +110,16 @@ let working_set t =
 
 let is_deleted t = t.deleted
 
+(* Marked deleted before the burn yields: a second deleter running
+   during the burn sees the mark and backs off instead of releasing the
+   table twice. *)
 let try_delete ~env t =
   if t.deleted || t.dependents > 0 then false
   else begin
+    t.deleted <- true;
     Osenv.burn env Cost.destroy;
     Mem.Page_table.release t.table;
     (match t.parent with Some p -> decref p | None -> ());
-    t.deleted <- true;
     true
   end
 

@@ -85,7 +85,9 @@ val try_delete : env:Osenv.t -> t -> bool
 (** Delete if nothing depends on it: releases the table's frame
     references and drops the parent dependency (cascading a parent
     delete is the cache's policy decision, not automatic). Returns
-    [false] — and does nothing — while dependents remain. *)
+    [false] — and does nothing — while dependents remain or another
+    delete is under way: the snapshot reads as deleted from the moment
+    a delete commits, before it yields to burn destroy time. *)
 
 val diff_bytes : t -> int64
 

@@ -248,11 +248,13 @@ let victim t =
         | _ -> Some (fn_id, m, s))
     t.members None
 
+(* The victim leaves the store before the first yield, so a concurrent
+   budget sweep cannot pick it again. *)
 let evict_one t fn_id m =
   t.on_evict ~fn_id;
+  let freed = unlink t fn_id m in
   Osenv.burn t.env Cost.snap_evict_fixed;
   let deleted = Snapshot.try_delete ~env:t.env m.m_snap in
-  let freed = unlink t fn_id m in
   t.eviction_count <- t.eviction_count + 1;
   Obs.Metrics.inc t.c_evictions;
   Osenv.emit t.env

@@ -197,6 +197,60 @@ let test_pt_vpn_bounds () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The zero-alloc contract of the memory substrate, in the style of
+   test_sim's "zero-alloc dispatch": once a family's pool holds enough
+   roots and leaves, a deploy-shaped cycle — clone, COW writes into k
+   shared leaves, release — allocates nothing on the major heap (only
+   the table handle, on the minor heap), and a frame alloc/decref pair
+   allocates nothing at all. Promotions are subtracted, so a minor
+   collection during the loop cannot show up as a direct major
+   allocation. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let test_substrate_zero_alloc () =
+  let f = F.create ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 256)) () in
+  let base = PT.create f in
+  let leaves = 8 in
+  for dir = 0 to leaves - 1 do
+    for i = 0 to 63 do
+      PT.set base ~vpn:((dir * Mem.Mconfig.entries_per_table) + i)
+        (entry_rw (F.alloc f))
+    done
+  done;
+  PT.mark_all_cow_clean base;
+  let cycle () =
+    let t = PT.clone_shallow base in
+    for dir = 0 to leaves - 1 do
+      let vpn = (dir * Mem.Mconfig.entries_per_table) + dir in
+      PT.set t ~vpn (entry_rw (F.alloc f))
+    done;
+    PT.release t
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let measured = 10_000 in
+  let m0 = direct_major_words () in
+  for _ = 1 to measured do
+    cycle ()
+  done;
+  let m1 = direct_major_words () in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "major words across %d clone/COW/release cycles" measured)
+    0.0 (m1 -. m0);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to measured do
+    F.decref f (F.alloc f)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "minor words across %d frame alloc/decref pairs" measured)
+    0.0 (w1 -. w0);
+  PT.release base;
+  Alcotest.(check int) "drained" 0 (F.used_frames f)
+
 (* Property: an arbitrary interleaving of table operations never breaks
    frame conservation — releasing every table returns the allocator to
    zero live frames. *)
@@ -378,6 +432,7 @@ let () =
           case "release returns frames" test_pt_release_returns_frames;
           case "use after release" test_pt_use_after_release_rejected;
           case "vpn bounds" test_pt_vpn_bounds;
+          case "zero-alloc substrate" test_substrate_zero_alloc;
           qcase entry_roundtrip_prop;
           qcase pt_frame_conservation;
         ] );

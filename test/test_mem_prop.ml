@@ -45,8 +45,8 @@ let check_counters ~ctx space =
   let d = AS.dirty_pages space and ds = AS.dirty_pages_slow space in
   if d <> ds then Alcotest.failf "%s: dirty_pages %d <> slow walk %d" ctx d ds
 
-let check_refcounts ~ctx frames spaces =
-  let expected = PT.expected_refcounts (List.map AS.table spaces) in
+let check_refcounts ~ctx frames tables =
+  let expected = PT.expected_refcounts tables in
   let live = Hashtbl.length expected and used = F.used_frames frames in
   if live <> used then
     Alcotest.failf "%s: tables reference %d frames, allocator holds %d" ctx
@@ -61,7 +61,7 @@ let check_refcounts ~ctx frames spaces =
 
 let check_invariants ~ctx frames spaces =
   List.iter (check_counters ~ctx) spaces;
-  check_refcounts ~ctx frames spaces
+  check_refcounts ~ctx frames (List.map AS.table spaces)
 
 (* {1 Random schedules} *)
 
@@ -261,6 +261,186 @@ let test_release_parent_under_live_clones () =
   AS.release c2;
   Alcotest.(check int) "all frames drained" 0 (F.used_frames frames)
 
+(* {1 Page-table pools} *)
+
+let entry_rw frame =
+  PT.Entry.make ~frame ~writable:true ~cow:false ~dirty:true ~accessed:true
+
+(* Raw tables from two families ([PT.create] each starts a pool) over
+   one allocator. Leaf ids restart at 1 in every pool, so both families
+   name "leaf 1": refcount accounting and sharing tests must tell them
+   apart by pool. *)
+let run_pool_schedule ~seed ~sched =
+  let prng = Sim.Prng.create (Int64.add seed (Int64.of_int (sched * 31))) in
+  let frames = F.create ~budget_bytes:(mib 256) () in
+  (* Two families; each member is (family, table). *)
+  let tables = ref [ (0, PT.create frames); (1, PT.create frames) ] in
+  let pick () = List.nth !tables (Sim.Prng.int prng (List.length !tables)) in
+  let in_family k = List.filter (fun (f, _) -> f = k) !tables in
+  let steps = 40 + Sim.Prng.int prng 40 in
+  for step = 1 to steps do
+    let ctx = Printf.sprintf "seed %Ld sched %d step %d" seed sched step in
+    (match Sim.Prng.int prng 100 with
+    | r when r < 45 ->
+        (* A fresh frame, or a read-only share of one another table
+           already maps (cross-family shares included). *)
+        let _, t = pick () in
+        let vpn = Sim.Prng.int prng vpn_span in
+        let shared =
+          if Sim.Prng.int prng 3 > 0 then None
+          else
+            let _, other = pick () in
+            PT.fold_present other ~init:None ~f:(fun acc ~vpn:_ e ->
+                match acc with None -> Some (PT.Entry.frame e) | s -> s)
+        in
+        let old = PT.get t ~vpn in
+        (match shared with
+        (* Rewriting a vpn to the frame it already maps is a flag update
+           that keeps the existing reference: nothing to take. *)
+        | Some fr when PT.Entry.present old && PT.Entry.frame old = fr -> ()
+        | Some fr ->
+            F.incref frames fr;
+            PT.set t ~vpn (entry_rw fr)
+        | None -> PT.set t ~vpn (entry_rw (F.alloc frames)))
+    | r when r < 55 ->
+        let _, t = pick () in
+        PT.set t ~vpn:(Sim.Prng.int prng vpn_span) PT.Entry.absent
+    | r when r < 75 ->
+        if List.length !tables < max_spaces + 2 then begin
+          let fam, t = pick () in
+          tables := (fam, PT.clone_shallow t) :: !tables
+        end
+    | r when r < 92 -> (
+        (* Keep one member per family so both pools stay in play. *)
+        let fam, victim = pick () in
+        match in_family fam with
+        | _ :: _ :: _ ->
+            PT.release victim;
+            tables := List.filter (fun (_, t) -> t != victim) !tables
+        | _ -> ())
+    | _ -> PT.mark_all_cow_clean (snd (pick ())));
+    check_refcounts ~ctx frames (List.map snd !tables)
+  done;
+  List.iter (fun (_, t) -> PT.release t) !tables;
+  if F.used_frames frames <> 0 then
+    Alcotest.failf "seed %Ld sched %d: %d frames leaked" seed sched
+      (F.used_frames frames)
+
+let test_pool_schedules () =
+  for sched = 0 to schedules - 1 do
+    run_pool_schedule ~seed:base_seed ~sched
+  done
+
+(* A leaf released to the pool keeps its old entries until reuse; a
+   fresh leaf drawn from the pool must still read as empty. *)
+let test_recycled_leaf_is_empty () =
+  let frames = F.create ~budget_bytes:(mib 64) () in
+  let root = PT.create frames in
+  let full = PT.clone_shallow root in
+  for vpn = 0 to Mem.Mconfig.entries_per_table - 1 do
+    PT.set full ~vpn (entry_rw (F.alloc frames))
+  done;
+  PT.release full;
+  Alcotest.(check int) "frames returned" 0 (F.used_frames frames);
+  let fresh = PT.clone_shallow root in
+  PT.set fresh ~vpn:5 (entry_rw (F.alloc frames));
+  Alcotest.(check int) "one leaf" 1 (PT.leaf_tables fresh);
+  Alcotest.(check int) "only the new entry" 1 (PT.count_present fresh);
+  Alcotest.(check bool) "neighbour absent" false
+    (PT.Entry.present (PT.get fresh ~vpn:6));
+  PT.release fresh;
+  PT.release root;
+  Alcotest.(check int) "drained" 0 (F.used_frames frames)
+
+(* A root released to the pool had leaves in directories its source
+   never mapped; the next clone must see none of them. *)
+let test_recycled_root_is_empty () =
+  let frames = F.create ~budget_bytes:(mib 64) () in
+  let root = PT.create frames in
+  let wide = PT.clone_shallow root in
+  List.iter
+    (fun dir ->
+      PT.set wide ~vpn:(dir * Mem.Mconfig.entries_per_table)
+        (entry_rw (F.alloc frames)))
+    [ 0; 7; 100; 511 ];
+  PT.release wide;
+  let next = PT.clone_shallow root in
+  Alcotest.(check int) "no leaves" 0 (PT.leaf_tables next);
+  Alcotest.(check int) "no entries" 0 (PT.count_present next);
+  Alcotest.(check int) "no structure beyond the root"
+    (512 * 8) (PT.structure_bytes next);
+  PT.release next;
+  PT.release root
+
+(* fold_delta against a parent from another family: leaf ids coincide
+   across pools but name different leaves, so nothing may be skipped as
+   shared. The result must equal a per-vpn comparison. *)
+let test_fold_delta_across_pools () =
+  let prng = Sim.Prng.create (Int64.logxor base_seed 0xDE17AL) in
+  for round = 1 to 40 do
+    let frames = F.create ~budget_bytes:(mib 64) () in
+    let parent = PT.create frames and child = PT.create frames in
+    let span = 3 * Mem.Mconfig.entries_per_table in
+    for _ = 1 to 64 do
+      PT.set parent ~vpn:(Sim.Prng.int prng span) (entry_rw (F.alloc frames))
+    done;
+    for _ = 1 to 64 do
+      let vpn = Sim.Prng.int prng span in
+      let pe = PT.get parent ~vpn and ce = PT.get child ~vpn in
+      if PT.Entry.present pe && Sim.Prng.int prng 2 = 0 then begin
+        (* Share the parent's frame unless the child maps it already. *)
+        let fr = PT.Entry.frame pe in
+        if not (PT.Entry.present ce && PT.Entry.frame ce = fr) then begin
+          F.incref frames fr;
+          PT.set child ~vpn (entry_rw fr)
+        end
+      end
+      else PT.set child ~vpn (entry_rw (F.alloc frames))
+    done;
+    let got =
+      List.rev (PT.fold_delta ~parent child ~init:[] ~f:(fun acc ~vpn _ -> vpn :: acc))
+    in
+    let want =
+      List.rev
+        (PT.fold_present child ~init:[] ~f:(fun acc ~vpn e ->
+             let pe = PT.get parent ~vpn in
+             if PT.Entry.present pe && PT.Entry.frame pe = PT.Entry.frame e
+             then acc
+             else vpn :: acc))
+    in
+    Alcotest.(check (list int)) (Printf.sprintf "round %d delta" round) want got;
+    PT.release child;
+    PT.release parent;
+    Alcotest.(check int) "drained" 0 (F.used_frames frames)
+  done
+
+let test_released_table_rejects_every_op () =
+  let frames = F.create ~budget_bytes:(mib 4) () in
+  let root = PT.create frames in
+  let t = PT.clone_shallow root in
+  PT.set t ~vpn:3 (entry_rw (F.alloc frames));
+  PT.release t;
+  let rejects name f =
+    Alcotest.(check string) (name ^ " after release")
+      "Page_table: use after release"
+      (match f () with
+      | () -> "no exception"
+      | exception Invalid_argument msg -> msg)
+  in
+  rejects "get" (fun () -> ignore (PT.get t ~vpn:3));
+  rejects "set" (fun () -> PT.set t ~vpn:3 PT.Entry.absent);
+  rejects "clone_shallow" (fun () -> ignore (PT.clone_shallow t));
+  rejects "fold_present" (fun () ->
+      ignore (PT.fold_present t ~init:0 ~f:(fun n ~vpn:_ _ -> n + 1)));
+  rejects "release" (fun () -> PT.release t);
+  (* The recycled root now belongs to a live clone; the stale handle
+     must not reach it. *)
+  let live = PT.clone_shallow root in
+  rejects "get once its root is reused" (fun () -> ignore (PT.get t ~vpn:3));
+  PT.release live;
+  PT.release root;
+  Alcotest.(check int) "drained" 0 (F.used_frames frames)
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "mem_prop"
@@ -283,5 +463,17 @@ let () =
         [
           case "parent release under live clones"
             test_release_parent_under_live_clones;
+        ] );
+      ( "pool",
+        [
+          case
+            (Printf.sprintf "%d two-family schedules (seed %Ld)" schedules
+               base_seed)
+            test_pool_schedules;
+          case "recycled leaf is empty" test_recycled_leaf_is_empty;
+          case "recycled root is empty" test_recycled_root_is_empty;
+          case "fold_delta across pools" test_fold_delta_across_pools;
+          case "released table rejects every op"
+            test_released_table_rejects_every_op;
         ] );
     ]

@@ -411,6 +411,44 @@ let test_lru_evicts_least_recent () = run_eviction_scenario ~policy:Seuss.Config
 let test_ws_without_sets_matches_lru () =
   run_eviction_scenario ~policy:Seuss.Config.Snap_ws
 
+(* Two cold invocations whose inserts both overrun a tiny budget run
+   their eviction sweeps concurrently. Each sweep yields while it burns
+   eviction and destroy time; the victim must already be out of the
+   store and marked deleted by then, or the other sweep picks the same
+   snapshot and releases its page table a second time. *)
+let test_concurrent_sweeps_evict_distinct_victims () =
+  Experiments.Harness.run_sim ~seed:43L (fun engine ->
+      let env = Experiments.Harness.make_seuss_env engine in
+      let node =
+        Seuss.Node.create
+          ~config:(scenario_config ~budget:(Int64.of_int 262_144))
+          env
+      in
+      Seuss.Node.start node;
+      let store =
+        match Seuss.Node.snapstore node with
+        | Some s -> s
+        | None -> Alcotest.fail "store not armed"
+      in
+      let pending = ref 2 in
+      let both_done = Sim.Ivar.create () in
+      List.iter
+        (fun k ->
+          Sim.Engine.spawn engine (fun () ->
+              ignore (invoke_ok node (prop_fn k));
+              decr pending;
+              if !pending = 0 then Sim.Ivar.fill both_done ()))
+        [ 0; 1 ];
+      Sim.Ivar.read both_done;
+      Alcotest.(check int) "both inserts were evicted" 2
+        (Seuss.Snapstore.evictions store);
+      (match Seuss.Snapstore.check store with
+      | [] -> ()
+      | vs -> Alcotest.failf "store self-check: %s" (String.concat "; " vs));
+      Seuss.Node.shutdown node;
+      Alcotest.(check int) "drained" 0
+        (F.used_frames env.Seuss.Osenv.frames))
+
 let () =
   let case name f = Alcotest.test_case name `Slow f in
   Alcotest.run "snapstore"
@@ -433,5 +471,7 @@ let () =
           case "lru evicts the least recent member" test_lru_evicts_least_recent;
           case "ws without sets falls back to recency"
             test_ws_without_sets_matches_lru;
+          case "concurrent sweeps evict distinct victims"
+            test_concurrent_sweeps_evict_distinct_victims;
         ] );
     ]
