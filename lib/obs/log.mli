@@ -2,18 +2,21 @@
 
     Emitted events are stamped with the injected clock (the simulation
     engine's [now] in practice — the log itself is engine-agnostic so
-    lower layers can host one), retained in a bounded {!Ring}, and
-    fanned out to any attached subscribers. Emission costs no simulated
-    time: telemetry never perturbs the quantities it measures. *)
+    lower layers can host one), retained in a bounded window that
+    overwrites its oldest entry once full, and fanned out to any
+    attached subscribers. Emission costs no simulated time: telemetry
+    never perturbs the quantities it measures. Retaining an event
+    allocates nothing; a {!record} is built only for subscribers. *)
 
 type record = { time : float; ev : Event.t }
 
 type t
 
 val default_capacity : int
-(** Ring size when [capacity] is not given (16384 events). *)
+(** Window size when [capacity] is not given (16384 events). *)
 
 val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
+(** @raise Invalid_argument if [capacity <= 0]. *)
 
 val emit : t -> Event.t -> unit
 (** Stamp with [clock ()], retain, and deliver to subscribers (in
@@ -21,10 +24,10 @@ val emit : t -> Event.t -> unit
 
 val subscribe : t -> (record -> unit) -> unit
 (** Attach a live consumer; it sees every event from now on, including
-    ones the ring later evicts. *)
+    ones the window later evicts. *)
 
 val set_on_drop : t -> (unit -> unit) -> unit
-(** Called once per record the ring evicts (before subscribers see the
+(** Called once per record the window evicts (before subscribers see the
     new record). Default: nothing. [Seuss.Osenv] points this at an
     [obs_events_dropped_total] counter so eviction is a visible metric
     rather than silent truncation. *)
@@ -36,9 +39,10 @@ val emitted : t -> int
 (** Total events ever emitted (retained + evicted). *)
 
 val dropped : t -> int
-(** Events evicted from the ring so far. *)
+(** Events evicted from the window so far. *)
 
 val clear : t -> unit
+(** Forget all retained records (the drop count is kept). *)
 
 val to_jsonl : t -> string
 (** One JSON object per line (trailing newline), oldest first. *)

@@ -75,16 +75,17 @@ let make env ~image ~space ~source =
   in
   (* Feed the node's telemetry from the fault handler: counters for
      both fault kinds, an event per COW copy (the snapshot-stack
-     signal; zero-fills are boot noise at event granularity). *)
+     signal; zero-fills are boot noise at event granularity). The event
+     is built once here, so a COW copy allocates nothing that survives. *)
   let cow_faults =
     Obs.Metrics.counter env.Osenv.metrics "mem_cow_faults_total"
   and zero_fills =
     Obs.Metrics.counter env.Osenv.metrics "mem_zero_fills_total"
-  in
+  and cow_fault = Obs.Event.Cow_fault { uc_id = t.uc_id } in
   Mem.Addr_space.set_fault_hook space (function
     | Mem.Addr_space.Cow_copy ->
         Obs.Metrics.inc cow_faults;
-        Osenv.emit env (Obs.Event.Cow_fault { uc_id = t.uc_id })
+        Osenv.emit env cow_fault
     | Mem.Addr_space.Zero_fill -> Obs.Metrics.inc zero_fills
     | Mem.Addr_space.No_fault -> ());
   Net.Proxy.register env.Osenv.proxy ~port:uc_port listener;

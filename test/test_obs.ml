@@ -1,7 +1,20 @@
-(* Tests for the observability layer: JSON codec, event ring, the event
-   log (JSONL round-trip), the metrics registry and the per-phase
+(* Tests for the observability layer: JSON codec, the event log (its
+   bounded window, JSONL round-trip, a model-based property and the
+   zero-alloc emit contract), the metrics registry and the per-phase
    breakdown aggregator — plus an end-to-end check that a real node
-   workload produces a parseable event stream. *)
+   workload produces a parseable event stream.
+
+   SEUSS_PROP_SEED overrides the log property's seed (CI rotates it). *)
+
+let base_seed =
+  match Sys.getenv_opt "SEUSS_PROP_SEED" with
+  | None -> 31
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some v -> v
+      | None ->
+          Printf.eprintf "test_obs: malformed SEUSS_PROP_SEED %S\n" s;
+          31)
 
 let contains needle hay =
   let n = String.length needle and len = String.length hay in
@@ -129,21 +142,31 @@ let test_event_roundtrip_all_variants () =
             (Obs.Json.to_string (Obs.Event.to_json ~time ev')))
     events
 
-(* {1 Ring} *)
+(* {1 Retained window} *)
 
+(* The log's bounded window, observed through its stamps: the clock
+   reads the emit index, so the retained times name the retained
+   events. *)
 let test_ring_overwrites_oldest () =
-  let r = Obs.Ring.create ~capacity:3 in
-  List.iter (fun i -> Obs.Ring.push r i) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ] (Obs.Ring.to_list r);
-  Alcotest.(check int) "length capped" 3 (Obs.Ring.length r);
-  Alcotest.(check int) "dropped counted" 2 (Obs.Ring.dropped r);
-  Obs.Ring.clear r;
-  Alcotest.(check (list int)) "clear empties" [] (Obs.Ring.to_list r)
+  let now = ref 0.0 in
+  let log = Obs.Log.create ~capacity:3 ~clock:(fun () -> !now) () in
+  List.iter
+    (fun i ->
+      now := float_of_int i;
+      Obs.Log.emit log (Obs.Event.Cow_fault { uc_id = i }))
+    [ 1; 2; 3; 4; 5 ];
+  let times () = List.map (fun r -> r.Obs.Log.time) (Obs.Log.records log) in
+  Alcotest.(check (list (float 0.0))) "keeps newest" [ 3.; 4.; 5. ] (times ());
+  Alcotest.(check int) "length capped" 3 (List.length (Obs.Log.records log));
+  Alcotest.(check int) "dropped counted" 2 (Obs.Log.dropped log);
+  Obs.Log.clear log;
+  Alcotest.(check (list (float 0.0))) "clear empties" [] (times ());
+  Alcotest.(check int) "clear keeps the drop count" 2 (Obs.Log.dropped log)
 
 let test_ring_rejects_bad_capacity () =
   Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
-      ignore (Obs.Ring.create ~capacity:0))
+    (Invalid_argument "Log.create: capacity must be positive") (fun () ->
+      ignore (Obs.Log.create ~capacity:0 ~clock:(fun () -> 0.0) ()))
 
 (* {1 Log} *)
 
@@ -209,6 +232,128 @@ let test_log_subscriber_outlives_ring () =
     (List.length (Obs.Log.records log));
   Alcotest.(check int) "emitted counts all" 50 (Obs.Log.emitted log);
   Alcotest.(check int) "dropped counts evictions" 48 (Obs.Log.dropped log)
+
+(* Model-based property: random emits and clears against a log of
+   capacity 1–8 agree with a reference list model — the retained records
+   (directly and through JSONL), [emitted] and [dropped] — the on_drop
+   hook fires once per eviction, and every subscriber sees every event,
+   in order, across wraparound. *)
+type log_op = Emit of int | Clear
+
+let log_event k =
+  match k mod 3 with
+  | 0 -> Obs.Event.Cow_fault { uc_id = k }
+  | 1 -> Obs.Event.Oom_wake { free_bytes = Int64.of_int k }
+  | _ -> Obs.Event.Invoke_start { fn_id = Printf.sprintf "fn-%d" k }
+
+let record_json (r : Obs.Log.record) =
+  Obs.Json.to_string (Obs.Event.to_json ~time:r.time r.ev)
+
+let log_ops_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (9, map (fun k -> Emit k) (int_range 0 999)); (1, return Clear) ])
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat " "
+         (List.map
+            (function Emit k -> string_of_int k | Clear -> "clear")
+            ops))
+  in
+  QCheck.make ~print
+    QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 40) op))
+
+let log_matches_model =
+  QCheck.Test.make ~name:"matches a list model"
+    ~count:300 log_ops_arb (fun (capacity, ops) ->
+      let now = ref 0.0 in
+      let log = Obs.Log.create ~capacity ~clock:(fun () -> !now) () in
+      let drops = ref 0 in
+      Obs.Log.set_on_drop log (fun () -> incr drops);
+      let seen_a = ref [] and seen_b = ref [] in
+      Obs.Log.subscribe log (fun r -> seen_a := record_json r :: !seen_a);
+      Obs.Log.subscribe log (fun r -> seen_b := record_json r :: !seen_b);
+      (* The model: retained and all-emitted records, newest first. *)
+      let retained = ref [] and all = ref [] and dropped = ref 0 in
+      List.iteri
+        (fun step op ->
+          match op with
+          | Clear ->
+              Obs.Log.clear log;
+              retained := []
+          | Emit k ->
+              now := float_of_int step /. 4.0;
+              let ev = log_event k in
+              Obs.Log.emit log ev;
+              let j = record_json { Obs.Log.time = !now; ev } in
+              all := j :: !all;
+              retained := j :: !retained;
+              if List.length !retained > capacity then begin
+                retained := List.filteri (fun i _ -> i < capacity) !retained;
+                incr dropped
+              end)
+        ops;
+      let expect what ok = if not ok then QCheck.Test.fail_reportf "%s" what in
+      let retained = List.rev !retained and all = List.rev !all in
+      expect "records" (List.map record_json (Obs.Log.records log) = retained);
+      (match Obs.Log.parse_jsonl (Obs.Log.to_jsonl log) with
+      | Ok rs -> expect "jsonl round-trip" (List.map record_json rs = retained)
+      | Error e -> QCheck.Test.fail_reportf "parse_jsonl: %s" e);
+      expect "emitted" (Obs.Log.emitted log = List.length all);
+      expect "dropped" (Obs.Log.dropped log = !dropped);
+      expect "on_drop count" (!drops = !dropped);
+      expect "first subscriber" (List.rev !seen_a = all);
+      expect "second subscriber" (List.rev !seen_b = all);
+      true)
+
+(* The zero-alloc contract of the event log, in the style of test_sim's
+   "zero-alloc dispatch": once the window has wrapped, emitting a
+   preallocated event with no subscriber stores into the window and
+   allocates nothing on the major heap, and on the minor heap at most
+   the clock reading's float box (2 words) per emit. The minor heap is
+   emptied before the loop and collected after it, so anything the
+   window retained from the loop would be promoted and counted. *)
+let test_log_zero_alloc_emit () =
+  let tick = ref 0 in
+  let clock () =
+    incr tick;
+    float_of_int !tick
+  in
+  let log = Obs.Log.create ~capacity:64 ~clock () in
+  let ev = Obs.Event.Cow_fault { uc_id = 7 } in
+  for _ = 1 to 200 do
+    Obs.Log.emit log ev
+  done;
+  let measured = 10_000 in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  (* Readings are kept unboxed, so the measurement itself leaves nothing
+     live on the minor heap for the final collection to promote. *)
+  let marks = Float.Array.make 3 0.0 in
+  Gc.minor ();
+  Float.Array.set marks 0 (major_words ());
+  Float.Array.set marks 1 (Gc.minor_words ());
+  for _ = 1 to measured do
+    Obs.Log.emit log ev
+  done;
+  Float.Array.set marks 2 (Gc.minor_words ());
+  Gc.minor ();
+  let major = major_words () -. Float.Array.get marks 0
+  and minor = Float.Array.get marks 2 -. Float.Array.get marks 1 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "major words across %d emits" measured)
+    0.0 major;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 minor words per emit (%.0f across %d)" minor
+       measured)
+    true
+    (minor <= 2.0 *. float_of_int measured);
+  Alcotest.(check int) "window wrapped" (200 + measured - 64)
+    (Obs.Log.dropped log)
 
 (* {1 Metrics} *)
 
@@ -633,6 +778,10 @@ let () =
           case "jsonl roundtrip" test_log_jsonl_roundtrip;
           case "parse names bad line" test_log_parse_reports_line;
           case "subscriber outlives ring" test_log_subscriber_outlives_ring;
+          case "zero-alloc emit" test_log_zero_alloc_emit;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| base_seed |])
+            log_matches_model;
         ] );
       ( "metrics",
         [

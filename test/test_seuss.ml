@@ -890,6 +890,38 @@ let test_ring_drops_surface_in_metrics () =
     (Obs.Metrics.value
        (Obs.Metrics.counter env.Seuss.Osenv.metrics "obs_events_dropped_total"))
 
+(* Each UC emits one preallocated Cow_fault value: a burst of COW
+   copies on a deployed UC must still produce exactly one event per
+   copy, each carrying that UC's id. *)
+let test_cow_burst_one_event_per_copy () =
+  with_node
+    ~config:{ Seuss.Config.default with Seuss.Config.cache_idle_ucs = false }
+    (fun env node ->
+      ignore (expect_ok (N.invoke node nop_fn ~args:"{}"));
+      let snap = Option.get (N.function_snapshot node "nop") in
+      let copies =
+        Obs.Metrics.counter env.Seuss.Osenv.metrics "mem_cow_faults_total"
+      in
+      let ids = ref [] in
+      Obs.Log.subscribe env.Seuss.Osenv.log (fun r ->
+          match r.Obs.Log.ev with
+          | Obs.Event.Cow_fault { uc_id } -> ids := uc_id :: !ids
+          | _ -> ());
+      let before = Obs.Metrics.value copies in
+      let uc = Seuss.Uc.deploy env snap in
+      Alcotest.(check bool) "connects" true (Seuss.Uc.connect uc);
+      (match
+         Seuss.Uc.request uc (Unikernel.Driver.Run "{}") ~timeout:5.0
+       with
+      | Ok (Unikernel.Driver.Ok_reply _) -> ()
+      | _ -> Alcotest.fail "run failed");
+      Seuss.Uc.destroy uc;
+      let burst = Obs.Metrics.value copies - before in
+      Alcotest.(check bool) "a burst of COW copies" true (burst > 10);
+      Alcotest.(check int) "one event per copy" burst (List.length !ids);
+      Alcotest.(check bool) "each carries the UC's id" true
+        (List.for_all (fun id -> id = Seuss.Uc.id uc) !ids))
+
 (* {1 Ownership census (SEUSS_OWN)} *)
 
 (* A small mixed workload (cold + hot per function), optionally followed
@@ -1093,5 +1125,6 @@ let () =
           case "trace capture every nth" test_trace_capture_every_nth;
           case "unsampled node captures nothing" test_unsampled_node_captures_nothing;
           case "ring drops surface in metrics" test_ring_drops_surface_in_metrics;
+          case "COW burst: one event per copy" test_cow_burst_one_event_per_copy;
         ] );
     ]
