@@ -71,6 +71,10 @@ let registry =
                 leaf" };
     { hr_file = "lib/mem/addr_space.ml"; hr_binding = "touch_write";
       hr_why = "the guest write fault handler: per written page" };
+    (* The snapshot store: every cold invocation inserts its capture. *)
+    { hr_file = "lib/seuss/snapstore.ml"; hr_binding = "insert";
+      hr_why = "per cold invocation, per delta page: keys, dedups and \
+                indexes the capture, then evicts to the budget" };
     (* Trace-context propagation: per spawned/forked unit of work. *)
     { hr_file = "lib/sim/trace.ml"; hr_binding = "fork";
       hr_why = "span-context fork on every spawn" };

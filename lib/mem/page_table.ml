@@ -249,6 +249,7 @@ let clear_dirty_all t = in_place_map t (fun e -> Entry.with_flags ~dirty:false e
 let fold_present t ~init ~f =
   check_alive t;
   let leaves = t.pool.leaves in
+  (* seussheat: cold — a local ref that never escapes is a mutable variable: the walk allocates nothing *)
   let acc = ref init in
   for dir = 0 to root_size - 1 do
     let id = t.dirs.(dir) in
@@ -273,6 +274,7 @@ let fold_delta ~parent t ~init ~f =
   check_alive parent;
   let same_pool = t.pool.uid = parent.pool.uid in
   let leaves = t.pool.leaves and parent_leaves = parent.pool.leaves in
+  (* seussheat: cold — a local ref that never escapes is a mutable variable: the walk allocates nothing *)
   let acc = ref init in
   for dir = 0 to root_size - 1 do
     let id = t.dirs.(dir) and pid = parent.dirs.(dir) in
@@ -319,10 +321,20 @@ let structure_bytes t =
 (* Validation (tests): walk a family of tables, deduplicating shared
    leaves by (pool, leaf id), and return the per-frame reference counts
    the allocator should be reporting — each distinct leaf holds one
-   reference per present entry, shared leaves exactly once. *)
+   reference per present entry, shared leaves exactly once. Frame ids
+   are dense, so the counts go into a frame-indexed array that doubles
+   when a larger id turns up. *)
 let expected_refcounts tables =
   let seen = Hashtbl.create 64 in
-  let counts = Hashtbl.create 64 in
+  let counts = ref (Array.make 4096 0) in
+  let count f =
+    if f >= Array.length !counts then begin
+      let bigger = Array.make (max (f + 1) (2 * Array.length !counts)) 0 in
+      Array.blit !counts 0 bigger 0 (Array.length !counts);
+      counts := bigger
+    end;
+    !counts.(f) <- !counts.(f) + 1
+  in
   List.iter
     (fun t ->
       check_alive t;
@@ -331,16 +343,12 @@ let expected_refcounts tables =
           if id <> no_leaf && not (Hashtbl.mem seen (t.pool.uid, id)) then begin
             Hashtbl.replace seen (t.pool.uid, id) ();
             Array.iter
-              (fun e ->
-                if Entry.present e then
-                  let f = Entry.frame e in
-                  Hashtbl.replace counts f
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt counts f)))
+              (fun e -> if Entry.present e then count (Entry.frame e))
               t.pool.leaves.(id)
           end)
         t.dirs)
     tables;
-  counts
+  !counts
 
 (* Unshare every leaf; a leaf whose count reaches zero drops its frame
    references and returns to the pool, and the emptied root follows. *)

@@ -95,13 +95,14 @@ val structure_bytes : t -> int
 (** Host-page-table overhead accounted to this table: the root plus its
     *private* share of leaves (shared leaves are charged to one owner). *)
 
-val expected_refcounts : t list -> (int, int) Hashtbl.t
+val expected_refcounts : t list -> int array
 (** Validation helper for tests: per-frame reference counts implied by a
     family of live tables — one reference per present entry per
-    {e distinct} leaf (physically shared leaves are counted once). A
+    {e distinct} leaf (physically shared leaves are counted once) —
+    indexed by frame id; frames past the array's end have none. A
     consistent allocator reports exactly these refcounts, and exactly
-    [Hashtbl.length] frames live, when the family lists every table
-    sharing its leaves. *)
+    as many live frames as there are nonzero counts, when the family
+    lists every table sharing its leaves. *)
 
 val release : t -> unit
 (** Drop this table: unshare every leaf, releasing frame references for

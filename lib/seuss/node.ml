@@ -812,9 +812,10 @@ let census t =
     @ List.map Uc.table ucs
   in
   let implied = Mem.Page_table.expected_refcounts tables in
-  let leaked_frames =
-    Mem.Frame.used_frames env.Osenv.frames - Hashtbl.length implied
+  let referenced =
+    Array.fold_left (fun n rc -> if rc > 0 then n + 1 else n) 0 implied
   in
+  let leaked_frames = Mem.Frame.used_frames env.Osenv.frames - referenced in
   (* Expected dependents of a snapshot: held UCs deployed from it plus
      child snapshots captured over it (names are unique per node, so
      name equality identifies the snapshot without physical compare). *)

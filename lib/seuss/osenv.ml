@@ -85,6 +85,8 @@ let note_unpin t = t.pins <- t.pins - 1
 
 let emit t ev = Obs.Log.emit t.log ev
 
+(* seussheat: cold — charges simulated core time once per modelled step: the
+   permit and the sleep park the process, which is the engine's own hot path *)
 let burn t seconds =
   if seconds > 0.0 then
     Sim.Semaphore.with_permit t.cpu (fun () -> Sim.Engine.sleep seconds)

@@ -79,9 +79,11 @@ let import ~env ~name ~local_base ~remote ~transfer_time =
     working_set = None;
   }
 
-let check_alive t name =
-  if t.deleted then
-    invalid_arg (Printf.sprintf "Snapshot.%s: %s is deleted" name t.name)
+(* seussheat: cold — the error path of a checked misuse *)
+let deleted_snapshot name t =
+  invalid_arg (Printf.sprintf "Snapshot.%s: %s is deleted" name t.name)
+
+let check_alive t name = if t.deleted then deleted_snapshot name t
 
 let addref t =
   check_alive t "addref";

@@ -68,17 +68,21 @@ let live_tables node =
 let check_refcounts ~ctx env node =
   let frames = env.Seuss.Osenv.frames in
   let expected = PT.expected_refcounts (live_tables node) in
-  let live = Hashtbl.length expected and used = F.used_frames frames in
-  if live <> used then
-    Alcotest.failf "%s: tables reference %d frames, allocator holds %d" ctx
-      live used;
-  Hashtbl.iter
+  let live = ref 0 in
+  Array.iteri
     (fun fr rc ->
-      let actual = F.refcount frames fr in
-      if actual <> rc then
-        Alcotest.failf "%s: frame %d refcount %d, tables imply %d" ctx fr
-          actual rc)
-    expected
+      if rc > 0 then begin
+        incr live;
+        let actual = F.refcount frames fr in
+        if actual <> rc then
+          Alcotest.failf "%s: frame %d refcount %d, tables imply %d" ctx fr
+            actual rc
+      end)
+    expected;
+  let used = F.used_frames frames in
+  if !live <> used then
+    Alcotest.failf "%s: tables reference %d frames, allocator holds %d" ctx
+      !live used
 
 let check_node ~ctx env node =
   (match Seuss.Node.snapstore node with
@@ -449,6 +453,274 @@ let test_concurrent_sweeps_evict_distinct_victims () =
       Alcotest.(check int) "drained" 0
         (F.used_frames env.Seuss.Osenv.frames))
 
+(* {1 Direct store fixtures} *)
+
+(* A disarmed node supplies the environment and the Node.js base; the
+   store under test is created over the same environment, so a test
+   controls every insert, pin and lookup itself. Sources share one
+   length, so every capture has the same delta shape and differs only
+   in its bytecode tail. *)
+let fixture_source k =
+  Printf.sprintf "function main(args) { return {fn: %d}; }" (10 + k)
+
+let capture env base ~name source =
+  let uc = Seuss.Uc.deploy env base in
+  if
+    not
+      (Seuss.Uc.connect uc && Seuss.Uc.send uc (Unikernel.Driver.Init source))
+  then Alcotest.fail "fixture: cannot reach a fresh UC";
+  match Seuss.Uc.await_breakpoint uc ~timeout:60.0 with
+  | Some "compile-ok" ->
+      let snap = Seuss.Uc.capture uc ~env ~name in
+      Seuss.Uc.resume uc;
+      Seuss.Uc.destroy uc;
+      snap
+  | _ -> Alcotest.failf "fixture: %s did not compile" name
+
+let with_fixture ~seed f =
+  Experiments.Harness.run_sim ~seed (fun engine ->
+      let env = Experiments.Harness.make_seuss_env engine in
+      let node = Seuss.Node.create ~config:(scenario_config ~budget:0L) env in
+      Seuss.Node.start node;
+      let base =
+        match Seuss.Node.base_snapshot node Unikernel.Image.Node with
+        | Some b -> b
+        | None -> Alcotest.fail "node has no Node.js base"
+      in
+      f env base;
+      Seuss.Node.shutdown node;
+      Alcotest.(check int) "drained" 0 (F.used_frames env.Seuss.Osenv.frames))
+
+let no_evict ~fn_id:_ = ()
+
+let delta (snap : Seuss.Snapshot.t) =
+  let collect acc ~vpn e = (vpn, e) :: acc in
+  List.rev
+    (match snap.Seuss.Snapshot.parent with
+    | Some p ->
+        PT.fold_delta ~parent:p.Seuss.Snapshot.table snap.Seuss.Snapshot.table
+          ~init:[] ~f:collect
+    | None -> PT.fold_present snap.Seuss.Snapshot.table ~init:[] ~f:collect)
+
+let self_check store =
+  match Seuss.Snapstore.check store with
+  | [] -> ()
+  | vs -> Alcotest.failf "store self-check: %s" (String.concat "; " vs)
+
+(* {1 Content keys} *)
+
+(* The store's page keys, restated from their definition: djb2 over the
+   printed key, folded into 58 bits, never 0. Pages in the bytecode
+   tail of the heap key on the program source; the rest on the vpn. *)
+let djb2 s =
+  let h = ref 5381 in
+  String.iter
+    (fun c -> h := ((!h * 33) + Char.code c) land 0x3FFFFFFFFFFFFFF)
+    s;
+  if !h = 0 then 1 else !h
+
+(* The bytecode tail [lo, hi) of a compile-ok capture and its salt. *)
+let tail_region (snap : Seuss.Snapshot.t) =
+  let guest = snap.Seuss.Snapshot.guest in
+  match Unikernel.Guest.snapshot_program_source guest with
+  | Some src ->
+      let heap_pages = Unikernel.Guest.snapshot_heap_pages guest in
+      let page = Mem.Mconfig.page_size in
+      let code_pages =
+        min heap_pages ((((String.length src * 4) + page - 1) / page) + 1)
+      in
+      let hi = Unikernel.Gconst.heap_base + heap_pages in
+      (hi - code_pages, hi, src)
+  | None ->
+      Alcotest.failf "%s is not a compile-ok capture" snap.Seuss.Snapshot.name
+
+let reference_key (snap : Seuss.Snapshot.t) vpn =
+  let rt =
+    Unikernel.Image.runtime_name
+      snap.Seuss.Snapshot.image.Unikernel.Image.runtime
+  in
+  let lo, hi, src = tail_region snap in
+  if vpn >= lo && vpn < hi then djb2 (Printf.sprintf "fn:%s:%s:%d" rt src vpn)
+  else djb2 (Printf.sprintf "img:%s:%d" rt vpn)
+
+(* Every delta page of every member maps a canonical frame tagged with
+   exactly the reference key, across members whose sources share a
+   bytecode tail (0 and 2, 1 and 3) and members whose sources differ. *)
+let test_content_keys_match_reference () =
+  with_fixture ~seed:47L (fun env base ->
+      let frames = env.Seuss.Osenv.frames in
+      let store =
+        Seuss.Snapstore.create ~env
+          ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 4096))
+          ~policy:Seuss.Config.Snap_lru ~on_evict:no_evict
+      in
+      List.iteri
+        (fun i k ->
+          let fn_id = Printf.sprintf "key-%d" i in
+          Seuss.Snapstore.insert store ~fn_id
+            (capture env base ~name:fn_id (fixture_source k)))
+        [ 0; 1; 0; 1 ];
+      let tail_frames = Hashtbl.create 16 in
+      let checked = ref 0 and in_tail = ref 0 in
+      List.iter
+        (fun (fn_id, snap) ->
+          List.iter
+            (fun (vpn, e) ->
+              let key = reference_key snap vpn in
+              let fr = PT.Entry.frame e in
+              if F.tag frames fr <> key then
+                Alcotest.failf "%s vpn %d: frame %d tagged %d, reference %d"
+                  fn_id vpn fr (F.tag frames fr) key;
+              incr checked;
+              let lo, hi, _ = tail_region snap in
+              if vpn >= lo && vpn < hi then begin
+                incr in_tail;
+                Hashtbl.replace tail_frames key fr
+              end)
+            (delta snap))
+        (Seuss.Snapstore.members store);
+      Alcotest.(check bool) "delta pages were checked" true (!checked > 0);
+      Alcotest.(check bool) "bytecode-tail pages were checked" true
+        (!in_tail > 0);
+      (* Same-source members share their tail: two sources' worth of
+         tail content, however many members name it. *)
+      Alcotest.(check int) "tail content pages" (!in_tail / 2)
+        (Hashtbl.length tail_frames);
+      self_check store;
+      Seuss.Snapstore.drain store)
+
+(* {1 Working-set victim order} *)
+
+(* Pinned at insert, every member survives a budget no store can meet;
+   unpinned afterwards, the next insert's sweep evicts them all, one by
+   one, so the eviction sequence is the policy's whole order. The
+   fixture fixes that order on each key in turn: no working set before
+   one, a lower ws/delta ratio before a higher one, and, between equal
+   ratios, the older tick. fn_ids run against every expected order, so
+   an order that fell through to them would show. (The fn_id tie-break
+   itself is unobservable: every insert and hit takes a fresh tick.) *)
+let eviction_sequence ~policy =
+  let evicted = ref [] in
+  with_fixture ~seed:53L (fun env base ->
+      let store =
+        Seuss.Snapstore.create ~env ~budget_bytes:1L ~policy
+          ~on_evict:(fun ~fn_id -> evicted := fn_id :: !evicted)
+      in
+      let pinned = ref [] in
+      let insert_pinned i fn_id =
+        let snap = capture env base ~name:fn_id (fixture_source i) in
+        Seuss.Snapshot.addref snap;
+        Seuss.Snapstore.insert store ~fn_id snap;
+        pinned := snap :: !pinned;
+        snap
+      in
+      (* name, working-set pages, in insert order *)
+      let members =
+        [
+          ("y-nows", 0); ("z-nows", 0); ("d-ws100", 100); ("c-ws10", 10);
+          ("b-ws50", 50); ("x-ws50", 50);
+        ]
+      in
+      let snaps =
+        List.mapi (fun i (fn_id, _) -> (fn_id, insert_pinned i fn_id)) members
+      in
+      Alcotest.(check int) "pinned members survive the budget" 0
+        (Seuss.Snapstore.evictions store);
+      let sizes = List.map (fun (_, s) -> List.length (delta s)) snaps in
+      if List.length (List.sort_uniq compare sizes) <> 1 then
+        Alcotest.fail "fixture deltas differ in size, so would their ratios";
+      List.iter2
+        (fun (_, ws) (_, snap) ->
+          if ws > 0 then
+            Seuss.Snapshot.record_working_set snap
+              (List.init ws (fun p -> Unikernel.Gconst.heap_base + p)))
+        members snaps;
+      (* Touch y-nows and b-ws50 so each is younger than its peer. *)
+      List.iter
+        (fun fn_id -> ignore (Seuss.Snapstore.lookup store fn_id))
+        [ "y-nows"; "b-ws50" ];
+      List.iter Seuss.Snapshot.decref !pinned;
+      pinned := [];
+      ignore (insert_pinned 6 "pin");
+      self_check store;
+      List.iter Seuss.Snapshot.decref !pinned;
+      Seuss.Snapstore.drain store);
+  List.rev !evicted
+
+let test_ws_victim_order () =
+  Alcotest.(check (list string)) "ws: no set, then ratio, then tick"
+    [ "z-nows"; "y-nows"; "c-ws10"; "x-ws50"; "b-ws50"; "d-ws100" ]
+    (eviction_sequence ~policy:Seuss.Config.Snap_ws);
+  Alcotest.(check (list string)) "lru: tick alone"
+    [ "z-nows"; "d-ws100"; "c-ws10"; "x-ws50"; "y-nows"; "b-ws50" ]
+    (eviction_sequence ~policy:Seuss.Config.Snap_lru)
+
+(* {1 Allocation contract} *)
+
+(* Words allocated on either heap: promotions are subtracted, so a minor
+   collection inside the window is not counted twice. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* In steady state an insert keys, dedups and indexes its delta and
+   evicts one member without allocating per page: the member's hash
+   array (one word per page, plus its header) is the only allocation
+   that scales with the delta, and everything else — events, the burn,
+   the eviction — fits in a fixed 512 words. *)
+let test_insert_allocation () =
+  with_fixture ~seed:59L (fun env base ->
+      let members = 4 in
+      let fill store first =
+        for k = first to first + members - 1 do
+          let fn_id = Printf.sprintf "alloc-%d" k in
+          Seuss.Snapstore.insert store ~fn_id
+            (capture env base ~name:fn_id (fixture_source k))
+        done
+      in
+      (* The residency of [members] members sets a budget that the next
+         member overruns by exactly one member's worth. *)
+      let probe =
+        Seuss.Snapstore.create ~env
+          ~budget_bytes:(Int64.of_int (Mem.Mconfig.mib 4096))
+          ~policy:Seuss.Config.Snap_lru ~on_evict:no_evict
+      in
+      fill probe 0;
+      let budget = Seuss.Snapstore.resident_bytes probe in
+      Seuss.Snapstore.drain probe;
+      let store =
+        Seuss.Snapstore.create ~env ~budget_bytes:budget
+          ~policy:Seuss.Config.Snap_lru ~on_evict:no_evict
+      in
+      fill store members;
+      Alcotest.(check int) "the budget holds the members" 0
+        (Seuss.Snapstore.evictions store);
+      let next = ref (2 * members) in
+      let insert_one () =
+        let fn_id = Printf.sprintf "alloc-%d" !next in
+        let snap = capture env base ~name:fn_id (fixture_source !next) in
+        incr next;
+        let pages = List.length (delta snap) in
+        let evictions = Seuss.Snapstore.evictions store in
+        let w0 = allocated_words () in
+        Seuss.Snapstore.insert store ~fn_id snap;
+        let w1 = allocated_words () in
+        Alcotest.(check int)
+          (fn_id ^ " evicts one member")
+          (evictions + 1)
+          (Seuss.Snapstore.evictions store);
+        (pages, w1 -. w0)
+      in
+      for _ = 1 to 4 do
+        ignore (insert_one ())
+      done;
+      let pages, words = insert_one () in
+      if words > float_of_int (pages + 512) then
+        Alcotest.failf "insert of a %d-page delta allocated %.0f words (> %d)"
+          pages words (pages + 512);
+      self_check store;
+      Seuss.Snapstore.drain store)
+
 let () =
   let case name f = Alcotest.test_case name `Slow f in
   Alcotest.run "snapstore"
@@ -473,5 +745,10 @@ let () =
             test_ws_without_sets_matches_lru;
           case "concurrent sweeps evict distinct victims"
             test_concurrent_sweeps_evict_distinct_victims;
+          case "content keys match the printed-key reference"
+            test_content_keys_match_reference;
+          case "ws evicts by set, then ratio, then tick" test_ws_victim_order;
+          case "steady-state insert allocates one hash array"
+            test_insert_allocation;
         ] );
     ]
