@@ -30,11 +30,10 @@ let run_watched engine =
   let stuck = Sim.Engine.stuck_waiters engine in
   if stuck > 0 then begin
     Printf.eprintf
-      "seussctl: %d process%s still parked at quiescence (set %s=1 for a \
-       wait-for-graph report)\n"
+      "seussctl: %d process%s still parked at quiescence (set \
+       SEUSS_DEADLOCK=1 for a wait-for-graph report)\n"
       stuck
-      (if stuck = 1 then "" else "es")
-      Sim.Engine.deadlock_env_var;
+      (if stuck = 1 then "" else "es");
     List.iter
       (fun (s : Sim.Engine.stranded) ->
         Printf.eprintf
@@ -310,6 +309,13 @@ let write_file path body =
   output_string oc body;
   close_out oc
 
+(* The node of the subcommands that drive their own engine, with the
+   environment's trace sampling armed like a harness-built node's. *)
+let started_node env =
+  let node = Seuss.Node.create ?trace_sample:(Knobs.trace_sample ()) env in
+  Seuss.Node.start node;
+  node
+
 let trace_cmd =
   let source =
     Arg.(
@@ -318,13 +324,11 @@ let trace_cmd =
       & info [ "source" ] ~docv:"MINIJS" ~doc:"Function source to trace.")
   in
   let run source chrome seed =
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.engine ~seed in
     let collected = ref [] in
     Sim.Engine.spawn engine ~name:"trace" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
-        Seuss.Node.start node;
+        let node = started_node env in
         let fn =
           { Seuss.Node.fn_id = "traced"; runtime = Unikernel.Image.Node; source }
         in
@@ -400,13 +404,11 @@ let events_cmd =
       Printf.eprintf "seussctl: --calls must be non-negative\n";
       exit 2
     end;
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.engine ~seed in
     let captures = ref [] in
     Sim.Engine.spawn engine ~name:"events" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
-        Seuss.Node.start node;
+        let node = started_node env in
         obs_workload ~functions ~calls node;
         print_string (Obs.Log.to_jsonl env.Seuss.Osenv.log);
         let dropped = Obs.Log.dropped env.Seuss.Osenv.log in
@@ -433,9 +435,9 @@ let events_cmd =
     Option.iter
       (fun path ->
         if !captures = [] then
-          Printf.eprintf
-            "seussctl: no sampled traces to export (arm capture with %s=1/N)\n"
-            Seuss.Node.trace_sample_env_var
+          prerr_string
+            "seussctl: no sampled traces to export (arm capture with \
+             SEUSS_TRACE_SAMPLE=1/N)\n"
         else begin
           write_file path (Seuss.Traceout.chrome_string !captures);
           Printf.eprintf "seussctl: wrote %d sampled trace%s to %s\n"
@@ -479,12 +481,10 @@ let top_cmd =
     require_positive "--interval" interval;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.engine ~seed in
     Sim.Engine.spawn engine ~name:"top" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
-        Seuss.Node.start node;
+        let node = started_node env in
         let bd = Obs.Breakdown.attach env.Seuss.Osenv.log in
         let m = env.Seuss.Osenv.metrics in
         let log = env.Seuss.Osenv.log in
@@ -614,12 +614,10 @@ let timeline_cmd =
     require_positive "--period" period;
     require_positive "--clients" (float_of_int clients);
     require_positive "--functions" (float_of_int functions);
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.engine ~seed in
     Sim.Engine.spawn engine ~name:"timeline" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
-        Seuss.Node.start node;
+        let node = started_node env in
         (* Explicitly armed: this subcommand *is* the sampler demo, no
            SEUSS_TIMELINE needed. *)
         Seuss.Timeline.start ~period node;
@@ -679,12 +677,10 @@ let snapshots_cmd =
     Arg.(value & opt int 8 & info [ "functions" ] ~docv:"M" ~doc:"Functions to deploy first.")
   in
   let run functions seed =
-    let engine = Sim.Engine.create ~seed () in
-    if Experiments.Harness.hb_of_env () then ignore (Sim.Hb.enable engine);
+    let engine = Experiments.Harness.engine ~seed in
     Sim.Engine.spawn engine ~name:"snapshots" (fun () ->
         let env = Seuss.Osenv.create engine in
-        let node = Seuss.Node.create env in
-        Seuss.Node.start node;
+        let node = started_node env in
         for i = 1 to functions do
           ignore
             (Seuss.Node.invoke node
@@ -764,8 +760,7 @@ let load_cmd =
       value & opt (some float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
-            "Simulated hours of arrivals per arm (default 8, or \
-             $(b,SEUSS_LOAD_HOURS)).")
+            "Simulated hours of arrivals per arm (default 8).")
   in
   let functions =
     Arg.(
@@ -773,15 +768,14 @@ let load_cmd =
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
-             1024, or $(b,SEUSS_LOAD_FUNCTIONS)).")
+             1024).")
   in
   let alpha =
     Arg.(
       value & opt (some float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
-            "Zipf popularity exponent (default 1.1, or \
-             $(b,SEUSS_LOAD_ALPHA)).")
+            "Zipf popularity exponent (default 1.1).")
   in
   let arrival =
     Arg.(
@@ -789,15 +783,14 @@ let load_cmd =
       & info [ "arrival" ] ~docv:"PROCESS"
           ~doc:
             "Inter-arrival process: poisson, bursty or diurnal (default \
-             diurnal, or $(b,SEUSS_LOAD_ARRIVAL)).")
+             diurnal).")
   in
   let rps =
     Arg.(
       value & opt (some (list float)) None
       & info [ "rps" ] ~docv:"R,R,..."
           ~doc:
-            "Offered mean arrival rates to sweep (default 0.5,2,8, or \
-             $(b,SEUSS_LOAD_RPS)).")
+            "Offered mean arrival rates to sweep (default 0.5,2,8).")
   in
   let json =
     Arg.(
@@ -881,8 +874,7 @@ let evict_cmd =
       value & opt (some float) None
       & info [ "hours" ] ~docv:"H"
           ~doc:
-            "Simulated hours of arrivals per arm (default 0.25, or \
-             $(b,SEUSS_EVICT_HOURS)).")
+            "Simulated hours of arrivals per arm (default 0.25).")
   in
   let functions =
     Arg.(
@@ -890,23 +882,21 @@ let evict_cmd =
       & info [ "functions" ] ~docv:"M"
           ~doc:
             "Synthetic functions under the Zipf popularity model (default \
-             160, or $(b,SEUSS_EVICT_FUNCTIONS)).")
+             160).")
   in
   let alpha =
     Arg.(
       value & opt (some float) None
       & info [ "alpha" ] ~docv:"A"
           ~doc:
-            "Zipf popularity exponent (default 1.1, or \
-             $(b,SEUSS_EVICT_ALPHA)).")
+            "Zipf popularity exponent (default 1.1).")
   in
   let rate =
     Arg.(
       value & opt (some float) None
       & info [ "rate" ] ~docv:"R"
           ~doc:
-            "Offered mean arrival rate, req/s (default 4, or \
-             $(b,SEUSS_EVICT_RPS)).")
+            "Offered mean arrival rate, req/s (default 4).")
   in
   let sizes =
     Arg.(
@@ -915,16 +905,15 @@ let evict_cmd =
       & info [ "sizes" ] ~docv:"B,B,..."
           ~doc:
             "Cache budgets to sweep, bytes with optional binary k/m/g \
-             suffix; 0 is the disarmed baseline (default 0,3m,4m,6m,8m,1g, \
-             or $(b,SEUSS_EVICT_SIZES)).")
+             suffix; 0 is the disarmed baseline (default \
+             0,3m,4m,6m,8m,1g).")
   in
   let policy =
     Arg.(
       value & opt (some string) None
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
-            "Eviction policy: lru or ws (default lru, or \
-             $(b,SEUSS_EVICT_POLICY)).")
+            "Eviction policy: lru or ws (default lru).")
   in
   let json =
     Arg.(
@@ -938,7 +927,7 @@ let evict_cmd =
     let sizes =
       Option.map
         (List.map (fun s ->
-             match Experiments.Harness.parse_bytes s with
+             match Knobs.parse_bytes s with
              | Some v -> v
              | None ->
                  Printf.eprintf "seussctl: malformed cache size %S\n" s;

@@ -70,7 +70,9 @@ let run_arm ~functions ~rounds ~seed ~prefault =
           cache_idle_ucs = false;
         }
       in
-      let node = Seuss.Node.create ~config env in
+      let node =
+        Seuss.Node.create ~config ?trace_sample:(Knobs.trace_sample ()) env
+      in
       Seuss.Node.start node;
       let fns = List.init functions reap_fn in
       (* Cold round: build the function snapshots. *)

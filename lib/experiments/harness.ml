@@ -1,66 +1,29 @@
 let default_budget = Mem.Mconfig.default_budget_bytes
 
-(* Fault-plane hook: SEUSS_FAULT_RATE arms every injection site at the
-   given rate for any harness-run experiment. The plan seed is derived
-   from the run seed by a fixed xor (never split off the engine stream),
-   so arming at rate 0 makes zero extra PRNG draws and leaves every
-   experiment output bit-identical — the CI identity check depends on
-   this. SEUSS_FAULT_SEED overrides the derived seed. *)
+(* The fault-plan seed is derived from the run seed by a fixed xor
+   (never split off the engine stream), so arming SEUSS_FAULT_RATE at
+   rate 0 makes zero extra PRNG draws and leaves every experiment
+   output bit-identical — the CI identity check depends on this. *)
 let fault_seed_xor = 0x5EEDFA17L
 
-let fault_seed_of ~seed =
-  match Sys.getenv_opt "SEUSS_FAULT_SEED" with
-  | None -> Int64.logxor seed fault_seed_xor
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "harness: ignoring malformed SEUSS_FAULT_SEED %S\n" s;
-          Int64.logxor seed fault_seed_xor)
+(* SEUSS_HB arms the happens-before checker before anything spawns, so
+   spawn edges are tracked from the root process down. The other
+   sanitizers (SEUSS_SHUFFLE_SEED, SEUSS_DEADLOCK, SEUSS_OWN) are armed
+   by Engine.create itself. *)
+let engine ~seed =
+  let engine = Sim.Engine.create ~seed () in
+  if Knobs.hb () then ignore (Sim.Hb.enable engine);
+  engine
 
-let install_env_faults ~seed engine =
-  match Faults.Fault.rates_of_env () with
-  | None -> ()
-  | Some rates ->
-      Faults.Fault.install
-        (Faults.Fault.make ~seed:(fault_seed_of ~seed) ~rates engine)
-
-(* Sanitizer hook: SEUSS_HB=1 arms the happens-before checker before the
-   experiment body spawns, so spawn edges are tracked from the root
-   process down. Race reports surface as San_race events on the env log
-   (see Osenv.create) and via Sim.Hb.races. Tie shuffling is separate:
-   Engine.create reads SEUSS_SHUFFLE_SEED itself. *)
-let hb_env_var = "SEUSS_HB"
-
-let hb_of_env () =
-  match Sys.getenv_opt hb_env_var with
-  | None | Some ("0" | "false" | "no" | "off") -> false
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some s ->
-      Printf.eprintf "harness: ignoring malformed %s %S\n" hb_env_var s;
-      false
-
-(* Deadlock hook: SEUSS_DEADLOCK=1 arms the engine's wait-for-graph
-   detector (Engine.create reads the variable itself, like
-   SEUSS_SHUFFLE_SEED). Stranded waiters surface as San_deadlock events
-   on the env log (see Osenv.create) and through the two counters
-   below, recorded after every run_sim — before the completion check,
-   so a stuck experiment still leaves its post-mortem behind. *)
-let deadlock_env_var = Sim.Engine.deadlock_env_var
-
+(* Recorded after every run_sim — before the completion check, so a
+   stuck experiment still leaves its post-mortem behind. *)
 let last_stuck = ref 0
 let last_stranded : Sim.Engine.stranded list ref = ref []
 let last_stuck_waiters () = !last_stuck
 let last_stranded_waiters () = !last_stranded
 
-(* Ownership hook: SEUSS_OWN=1 arms the engine's resource census
-   (Engine.create reads the variable itself). Every harness-built node
-   registers a quiescence census; leaks surface as San_leak events on
-   the node log and through the accessor below. A healthy armed run
-   emits nothing, so it stays byte-identical to an unarmed one — the CI
-   transparency check depends on this. *)
-let own_env_var = Sim.Engine.own_env_var
-
+(* A healthy census-armed run emits nothing, so it stays byte-identical
+   to an unarmed one — the CI transparency check depends on this. *)
 let last_leaked : (string * Seuss.Node.census) list ref = ref []
 let last_leaked_resources () = List.rev !last_leaked
 
@@ -69,9 +32,16 @@ let last_leaked_resources () = List.rev !last_leaked
 let node_seq = ref 0
 
 let run_sim ?(seed = 7L) body =
-  let engine = Sim.Engine.create ~seed () in
-  if hb_of_env () then ignore (Sim.Hb.enable engine);
-  install_env_faults ~seed engine;
+  let engine = engine ~seed in
+  Option.iter
+    (fun rate ->
+      let seed =
+        Option.value (Knobs.fault_seed ())
+          ~default:(Int64.logxor seed fault_seed_xor)
+      in
+      let rates = List.map (fun site -> (site, rate)) Faults.Fault.all_sites in
+      Faults.Fault.install (Faults.Fault.make ~seed ~rates engine))
+    (Knobs.fault_rate ());
   last_leaked := [];
   let result = ref None in
   Sim.Engine.spawn engine ~name:"experiment" (fun () ->
@@ -92,99 +62,30 @@ let make_seuss_env ?(budget_bytes = default_budget) ?(io_delay = 0.25) engine =
   Seuss.Osenv.register_host env "http://io-server" io_listener;
   env
 
-(* Prefault hook: SEUSS_PREFAULT=1 (or =0) overrides the config's
-   working-set-prefault flag for any harness-built SEUSS node, the same
-   way SEUSS_FAULT_RATE arms the fault plane. Unset leaves the config
-   alone; =0 forces the flag off, which is also its default, so a
-   SEUSS_PREFAULT=0 run is bit-identical to an unhooked one — the CI
-   transparency check depends on this. *)
-let prefault_env_var = "SEUSS_PREFAULT"
-
-let prefault_of_env () =
-  match Sys.getenv_opt prefault_env_var with
-  | None -> None
-  | Some ("1" | "true" | "yes" | "on") -> Some true
-  | Some ("0" | "false" | "no" | "off") -> Some false
-  | Some s ->
-      Printf.eprintf "harness: ignoring malformed %s %S\n" prefault_env_var s;
-      None
-
-let apply_env_prefault config =
-  match prefault_of_env () with
-  | None -> config
-  | Some v -> { config with Seuss.Config.prefault_working_set = v }
-
-(* Timeline hook: SEUSS_TIMELINE=1 attaches the resource sampler to
-   every harness-built SEUSS node. The sampler daemon draws nothing and
-   self-terminates at quiescence, so an unarmed (or =0) run is
-   bit-identical to an unhooked one — the CI transparency check depends
-   on this. *)
-let timeline_env_var = Seuss.Timeline.env_var
-
-(* Snapshot-store hook: SEUSS_SNAP_CACHE=<bytes> (suffixes k/m/g,
-   binary) arms the content-addressed snapshot store at that byte
-   budget on every harness-built SEUSS node; SEUSS_SNAP_POLICY=lru|ws
-   picks the eviction policy. Unset or =0 leaves the store disarmed —
-   its default — so a SEUSS_SNAP_CACHE=0 run is bit-identical to an
-   unhooked one; the CI transparency check depends on this. *)
-let snap_cache_env_var = "SEUSS_SNAP_CACHE"
-let snap_policy_env_var = "SEUSS_SNAP_POLICY"
-
-let parse_bytes s =
-  let s = String.trim s in
-  let len = String.length s in
-  if len = 0 then None
-  else
-    let mult, digits =
-      match Char.lowercase_ascii s.[len - 1] with
-      | 'k' -> (1024L, String.sub s 0 (len - 1))
-      | 'm' -> (Int64.of_int (1024 * 1024), String.sub s 0 (len - 1))
-      | 'g' -> (Int64.of_int (1024 * 1024 * 1024), String.sub s 0 (len - 1))
-      | _ -> (1L, s)
-    in
-    match Int64.of_string_opt digits with
-    | Some v when Int64.compare v 0L >= 0 -> Some (Int64.mul v mult)
-    | _ -> None
-
-let snap_cache_of_env () =
-  match Sys.getenv_opt snap_cache_env_var with
-  | None | Some "" -> None
-  | Some raw -> (
-      match parse_bytes raw with
-      | Some v -> Some v
-      | None ->
-          Printf.eprintf "harness: ignoring malformed %s %S\n"
-            snap_cache_env_var raw;
-          None)
-
-let snap_policy_of_env () =
-  match Sys.getenv_opt snap_policy_env_var with
-  | None | Some "" -> None
-  | Some raw -> (
-      match Seuss.Config.policy_of_name (String.lowercase_ascii raw) with
-      | Some _ as p -> p
-      | None ->
-          Printf.eprintf "harness: ignoring malformed %s %S\n"
-            snap_policy_env_var raw;
-          None)
-
-let apply_env_snap_cache config =
-  let config =
-    match snap_cache_of_env () with
-    | None -> config
-    | Some v -> { config with Seuss.Config.snapshot_cache_bytes = v }
-  in
-  match snap_policy_of_env () with
-  | None -> config
-  | Some p -> { config with Seuss.Config.snapshot_cache_policy = p }
-
+(* SEUSS_PREFAULT=0 and SEUSS_SNAP_CACHE=0 set their fields to the
+   defaults, so such runs are bit-identical to unset ones — the CI
+   transparency checks depend on this. *)
 let seuss_node ?(config = Seuss.Config.default) env =
-  let node =
-    Seuss.Node.create
-      ~config:(apply_env_snap_cache (apply_env_prefault config))
-      env
+  let config =
+    {
+      config with
+      Seuss.Config.prefault_working_set =
+        Option.value (Knobs.prefault ())
+          ~default:config.Seuss.Config.prefault_working_set;
+      snapshot_cache_bytes =
+        Option.value (Knobs.snap_cache ())
+          ~default:config.Seuss.Config.snapshot_cache_bytes;
+      snapshot_cache_policy =
+        (match Knobs.snap_policy () with
+        | Some `Lru -> Seuss.Config.Snap_lru
+        | Some `Ws -> Seuss.Config.Snap_ws
+        | None -> config.Seuss.Config.snapshot_cache_policy);
+    }
   in
-  Seuss.Timeline.maybe_start_from_env node;
+  let node =
+    Seuss.Node.create ~config ?trace_sample:(Knobs.trace_sample ()) env
+  in
+  if Knobs.timeline () then Seuss.Timeline.start node;
   let name = Printf.sprintf "node%d" !node_seq in
   incr node_seq;
   Seuss.Node.arm_census ~name

@@ -24,10 +24,6 @@ type t = {
   oom_headroom_bytes : int64;
       (** reclaim idle UCs when free memory drops below this floor (§6:
           "a pre-defined threshold") *)
-  max_function_snapshots : int;
-      (** bound on cached function snapshots; evictions respect §6's
-          deletion-safety rule (only snapshots with no active UCs and no
-          child snapshots are deleted, oldest first) *)
   invoke_timeout : float;  (** seconds before an invocation errors out *)
   prefault_working_set : bool;
       (** REAP-style warm deploys: record the vpns demand-faulted by the

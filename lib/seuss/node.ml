@@ -58,8 +58,6 @@ type t = {
      every path below is byte-identical to a build without it. *)
   mutable store : Snapstore.t option;
   fn_snapshots : (string, Snapshot.t) Hashtbl.t;
-  (* Insertion order of function snapshots, for bounded-cache eviction. *)
-  snap_order : string Queue.t;
   idle : (string, Uc.t Queue.t) Hashtbl.t;
   (* FIFO of (fn_id, uc) for oldest-first reclamation; entries go stale
      when a UC is taken for a hot invocation, so consumers re-validate. *)
@@ -89,49 +87,20 @@ let obs_path = function
 
 let capture_limit = 32
 
-let trace_sample_env_var = "SEUSS_TRACE_SAMPLE"
-
-(* Accepts both spellings of a sampling rate: "1/N" (as documented) and
-   bare "N". Malformed values warn and disarm, like the other hooks. *)
-let trace_sample_of_env () =
-  match Sys.getenv_opt trace_sample_env_var with
-  | None | Some "" -> None  (* "" = unset: callers can't delete env vars *)
-  | Some raw -> (
-      let s = String.trim raw in
-      let num =
-        match String.index_opt s '/' with
-        | Some i when String.sub s 0 i = "1" ->
-            Some (String.sub s (i + 1) (String.length s - i - 1))
-        | Some _ -> None
-        | None -> Some s
-      in
-      match Option.bind num int_of_string_opt with
-      | Some n when n >= 1 -> Some n
-      | _ ->
-          Printf.eprintf "warning: ignoring malformed %s=%S\n%!"
-            trace_sample_env_var raw;
-          None)
-
 let create ?(config = Config.default) ?trace_sample node_env =
   let m = node_env.Osenv.metrics in
   let errors p = Obs.Metrics.counter m ~labels:[ ("path", p) ] "node_errors_total" in
-  let trace_every =
-    match trace_sample with
-    | Some _ -> trace_sample
-    | None -> trace_sample_of_env ()
-  in
   let t =
   {
     node_env;
     cfg = config;
-    trace_every;
+    trace_every = trace_sample;
     invoke_seen = 0;
     captured = Queue.create ();
     in_flight = 0;
     bases = [];
     store = None;
     fn_snapshots = Hashtbl.create 1024;
-    snap_order = Queue.create ();
     idle = Hashtbl.create 1024;
     idle_order = Queue.create ();
     idle_total = 0;
@@ -207,38 +176,11 @@ let snapshot_inventory t =
      dashboard) see a reproducible inventory. *)
   Det.bindings t.fn_snapshots
 
-(* Keep the snapshot cache within its configured bound: walk the
-   insertion order looking for a snapshot that is safe to delete (§6: no
-   dependents). Entries whose snapshot is still in use are requeued. *)
-let evict_snapshots_if_needed t =
-  let attempts = ref (Queue.length t.snap_order) in
-  while
-    Hashtbl.length t.fn_snapshots >= t.cfg.Config.max_function_snapshots
-    && !attempts > 0
-  do
-    decr attempts;
-    match Queue.take_opt t.snap_order with
-    | None -> attempts := 0
-    | Some fn_id -> (
-        match Hashtbl.find_opt t.fn_snapshots fn_id with
-        | None -> () (* stale entry *)
-        | Some snap ->
-            let deleted =
-              match t.store with
-              | Some s -> Snapstore.forget s ~fn_id snap
-              | None -> Snapshot.try_delete ~env:t.node_env snap
-            in
-            if deleted then Hashtbl.remove t.fn_snapshots fn_id
-            else Queue.add fn_id t.snap_order)
-  done
-
 let install_snapshot t ~fn_id snap =
   if Hashtbl.mem t.fn_snapshots fn_id then
     ignore (Snapshot.try_delete ~env:t.node_env snap)
   else begin
-    evict_snapshots_if_needed t;
     Hashtbl.replace t.fn_snapshots fn_id snap;
-    Queue.add fn_id t.snap_order;
     Obs.Metrics.inc t.c_captured;
     (* The store's budget sweep may evict members right here — including,
        under a budget smaller than one snapshot, the one just inserted
@@ -756,7 +698,6 @@ let shutdown t =
         (fun _ snap -> ignore (Snapshot.try_delete ~env:t.node_env snap))
         t.fn_snapshots);
   Hashtbl.reset t.fn_snapshots;
-  Queue.clear t.snap_order;
   List.iter
     (fun (_, base) -> ignore (Snapshot.try_delete ~env:t.node_env base))
     t.bases;

@@ -58,9 +58,8 @@ val create : ?config:Config.t -> ?trace_sample:int -> Osenv.t -> t
 (** [trace_sample] arms per-invocation trace capture: every [n]-th
     invocation runs under its own [Sim.Trace] context and the resulting
     span tree is retained (bounded, newest kept) for
-    {!captured_traces}. When absent, {!trace_sample_env_var}
-    ([SEUSS_TRACE_SAMPLE], spelled ["1/N"] or ["N"]) supplies it.
-    Sampling draws nothing from the PRNG (a modulo counter), so an
+    {!captured_traces}; absent, nothing is captured (the harness
+    passes [Knobs.trace_sample], [SEUSS_TRACE_SAMPLE]). Sampling draws nothing from the PRNG (a modulo counter), so an
     unarmed node's outputs are byte-identical to a build without the
     hook. *)
 
@@ -129,14 +128,6 @@ val last_served_uc : t -> Uc.t option
     invocation type). *)
 
 (** {1 Sampled trace capture} *)
-
-val trace_sample_env_var : string
-(** ["SEUSS_TRACE_SAMPLE"]. *)
-
-val trace_sample_of_env : unit -> int option
-(** Parse {!trace_sample_env_var}: ["1/N"] or ["N"] gives [Some n]
-    (capture every n-th invocation); unset, empty or malformed (with a
-    warning) gives [None]. *)
 
 val trace_sampling : t -> int option
 (** The sampling interval this node was created with, if armed. *)

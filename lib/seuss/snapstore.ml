@@ -481,17 +481,6 @@ let lookup t fn_id =
       Obs.Metrics.inc t.c_hits;
       Some m.m_snap
 
-let forget t ~fn_id snap =
-  match Hashtbl.find_opt t.members fn_id with
-  | None -> Snapshot.try_delete ~env:t.env snap
-  | Some m ->
-      if Snapshot.try_delete ~env:t.env m.m_snap then begin
-        ignore (unlink t m);
-        refresh_gauges t;
-        true
-      end
-      else false
-
 let drain t =
   List.iter
     (fun (_, m) ->

@@ -25,36 +25,33 @@ val create :
     their parked waiters with the engine, and at natural quiescence the
     wait-for graph is walked — every stranded waiter (and every daemon
     on a wait cycle) is handed to the {!add_deadlock_reporter}
-    callbacks. When [deadlock] is absent, the [SEUSS_DEADLOCK]
-    environment variable supplies it ([1]/[true]/[yes]/[on]). An armed
-    engine whose run strands nobody makes no extra PRNG draws, schedules
-    nothing extra, and prints nothing, so its outputs stay
-    byte-identical to an unarmed run.
+    callbacks. When [deadlock] is absent, {!Knobs.deadlock}
+    ([SEUSS_DEADLOCK]) supplies it. An armed engine whose run strands
+    nobody makes no extra PRNG draws, schedules nothing extra, and
+    prints nothing, so its outputs stay byte-identical to an unarmed
+    run.
 
     [own] arms the ownership census: callbacks registered with
     {!add_census_hook} run once at natural quiescence (after the
     stranded-waiter report) so each node can count resources still held
     — leaked frames, snapshot references, pinned snapshots, undestroyed
-    UCs. When [own] is absent, the [SEUSS_OWN] environment variable
-    supplies it ([1]/[true]/[yes]/[on]). Unarmed, nothing registers and
-    outputs stay byte-identical to a build without the hook.
+    UCs. When [own] is absent, {!Knobs.own} ([SEUSS_OWN]) supplies it.
+    Unarmed, nothing registers and outputs stay byte-identical to a
+    build without the hook.
 
     [tie_seed] arms the schedule sanitizer's tie shuffler: events at
     equal timestamps fire in a seeded-random order instead of FIFO
     (order across distinct timestamps is untouched). Experiments that
     are honestly deterministic produce byte-identical outputs under any
     [tie_seed]; a divergence pinpoints latent dependence on same-time
-    event order. When [tie_seed] is absent, the [SEUSS_SHUFFLE_SEED]
-    environment variable supplies it, so released binaries can be swept
+    event order. When [tie_seed] is absent, {!Knobs.shuffle_seed}
+    ([SEUSS_SHUFFLE_SEED]) supplies it, so released binaries can be swept
     without code changes (the unit-test FIFO contract assumes the
     variable is unset under [dune runtest]). Unarmed engines draw
     nothing from the shuffle stream and keep exact FIFO tie-breaking. *)
 
 val tie_shuffling : t -> bool
 (** Whether the tie shuffler is armed on this engine. *)
-
-val shuffle_env_var : string
-(** ["SEUSS_SHUFFLE_SEED"]. *)
 
 val now : t -> float
 (** Current simulated time, in seconds. *)
@@ -230,9 +227,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
     whether by lost wakeup (a forgotten [Ivar.fill]) or by genuine
     deadlock (a lock cycle). *)
 
-val deadlock_env_var : string
-(** ["SEUSS_DEADLOCK"]. *)
-
 val deadlock_armed : t -> bool
 
 val stuck_waiters : t -> int
@@ -270,13 +264,6 @@ val add_deadlock_reporter : t -> (stranded -> unit) -> unit
     after the stranded-waiter report. Each node registers a hook that
     counts the resources still held beyond its caches — the runtime
     ground truth for the statically-proven acquire/release pairing. *)
-
-val own_env_var : string
-(** ["SEUSS_OWN"]. *)
-
-val own_of_env : unit -> bool
-(** Parse {!own_env_var}: [1]/[true]/[yes]/[on] arms, [0]/unset/empty
-    disarms, malformed warns and disarms. *)
 
 val own_armed : t -> bool
 

@@ -6,9 +6,9 @@
 
 let with_deadlock_env on f =
   (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.deadlock_env_var (if on then "1" else "");
+  Unix.putenv "SEUSS_DEADLOCK" (if on then "1" else "");
   Fun.protect
-    ~finally:(fun () -> Unix.putenv Sim.Engine.deadlock_env_var "")
+    ~finally:(fun () -> Unix.putenv "SEUSS_DEADLOCK" "")
     f
 
 let starts_with ~prefix s =

@@ -336,6 +336,27 @@ let check_clean_tree_own () =
     Alcotest.(check int) "own violations in shipped tree" 0 (List.length vs)
   end
 
+let check_env_boundary () =
+  (* Knobs is the one reader of the environment: every other module
+     takes its SEUSS_* values as arguments. *)
+  let roots = List.filter Sys.file_exists [ "../lib"; "../bin" ] in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let offenders =
+    List.concat_map Lint.Check.source_files roots
+    |> List.filter (fun path ->
+           let rel = Lint.Check.rel_of_path path in
+           (not (String.starts_with ~prefix:"lib/knobs/" rel))
+           && contains ~sub:"Sys.getenv" (Lint.Check.read_file path))
+    |> List.map Lint.Check.rel_of_path
+  in
+  Alcotest.(check (list string)) "Sys.getenv outside lib/knobs/" [] offenders
+
 let () =
   Alcotest.run "lint"
     [
@@ -370,5 +391,7 @@ let () =
             check_clean_tree_heat;
           Alcotest.test_case "shipped tree is own-clean" `Quick
             check_clean_tree_own;
+          Alcotest.test_case "only Knobs reads the environment" `Quick
+            check_env_boundary;
         ] );
     ]

@@ -7,14 +7,7 @@
    SEUSS_PROP_SEED overrides the log property's seed (CI rotates it). *)
 
 let base_seed =
-  match Sys.getenv_opt "SEUSS_PROP_SEED" with
-  | None -> 31
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "test_obs: malformed SEUSS_PROP_SEED %S\n" s;
-          31)
+  Option.fold ~none:31 ~some:Int64.to_int (Knobs.prop_seed ())
 
 let contains needle hay =
   let n = String.length needle and len = String.length hay in

@@ -7,9 +7,9 @@
 
 let with_shuffle seed f =
   (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.shuffle_env_var
+  Unix.putenv "SEUSS_SHUFFLE_SEED"
     (match seed with None -> "" | Some s -> Int64.to_string s);
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.shuffle_env_var "") f
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_SHUFFLE_SEED" "") f
 
 (* Deliberately order-dependent: the output string is exactly the order
    in which same-timestamp processes ran. *)
@@ -206,7 +206,7 @@ let chaos_small () =
 
 let with_hb f =
   Unix.putenv "SEUSS_HB" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_HB" "0") f
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_HB" "") f
 
 let experiments_race_free () =
   (* The acceptance gate: shipped workloads report zero unsynchronized

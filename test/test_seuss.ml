@@ -299,52 +299,6 @@ let test_cache_disabled_config () =
       Alcotest.(check int) "nothing cached" 0
         (N.snapshot_count node + N.idle_uc_count node))
 
-let test_snapshot_cache_bounded () =
-  let config =
-    { Seuss.Config.default with Seuss.Config.max_function_snapshots = 5 }
-  in
-  with_node ~config (fun _env node ->
-      for i = 1 to 12 do
-        let f = fn ~id:(Printf.sprintf "bounded-%d" i)
-            "function main(args) { return {}; }"
-        in
-        ignore (expect_ok (N.invoke node f ~args:"{}"));
-        (* Free the idle UC so the snapshot becomes evictable. *)
-        N.drop_idle node ~fn_id:f.N.fn_id
-      done;
-      Alcotest.(check bool) "cache stays bounded" true
-        (N.snapshot_count node <= 5);
-      (* An evicted function simply goes cold again. *)
-      let f1 = fn ~id:"bounded-1" "function main(args) { return {}; }" in
-      match N.invoke node f1 ~args:"{}" with
-      | Ok _, N.Cold -> ()
-      | Ok _, _ ->
-          (* bounded-1 may have survived eviction depending on order. *)
-          ()
-      | Error _, _ -> Alcotest.fail "re-invocation failed")
-
-let test_eviction_respects_dependents () =
-  let config =
-    { Seuss.Config.default with Seuss.Config.max_function_snapshots = 2 }
-  in
-  with_node ~config (fun _env node ->
-      (* Keep idle UCs alive: their source snapshots have dependents and
-         must survive eviction pressure. *)
-      for i = 1 to 6 do
-        let f = fn ~id:(Printf.sprintf "dep-%d" i)
-            "function main(args) { return {}; }"
-        in
-        ignore (expect_ok (N.invoke node f ~args:"{}"))
-      done;
-      (* Every cached snapshot must still be usable (not deleted). *)
-      for i = 1 to 6 do
-        match N.function_snapshot node (Printf.sprintf "dep-%d" i) with
-        | Some snap ->
-            Alcotest.(check bool) "cached snapshots are live" false
-              (Seuss.Snapshot.is_deleted snap)
-        | None -> ()
-      done)
-
 (* {1 Multiple runtimes} *)
 
 let test_python_runtime () =
@@ -392,7 +346,7 @@ let test_missing_runtime_errors () =
    coherent — every request succeeds, path counters sum to the request
    count, and the snapshot cache holds exactly the unique functions. *)
 let node_stress =
-  QCheck.Test.make ~name:"random invocation mixes keep node coherent" ~count:8
+  QCheck.Test.make ~name:"random invocation mixes keep node" ~count:8
     QCheck.(list_of_size (Gen.int_range 5 25) (int_range 0 5))
     (fun fn_ids ->
       with_node ~budget_gib:6 (fun _env node ->
@@ -992,8 +946,8 @@ let test_census_detects_planted_leak () =
 
 let with_own_env value f =
   (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.own_env_var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.own_env_var "") f
+  Unix.putenv "SEUSS_OWN" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_OWN" "") f
 
 let test_experiments_zero_leaks_armed () =
   (* Every shipped experiment finishes with all resources accounted for:
@@ -1073,11 +1027,6 @@ let () =
         [
           case "python" test_python_runtime;
           case "missing runtime" test_missing_runtime_errors;
-        ] );
-      ( "snapshot_cache",
-        [
-          case "bounded" test_snapshot_cache_bounded;
-          case "eviction respects dependents" test_eviction_respects_dependents;
         ] );
       ( "stress",
         [

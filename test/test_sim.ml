@@ -657,8 +657,8 @@ let test_engine_zero_alloc_dispatch () =
 
 let with_own_env value f =
   (* "" reads as unset (Unix offers no unsetenv). *)
-  Unix.putenv Sim.Engine.own_env_var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv Sim.Engine.own_env_var "") f
+  Unix.putenv "SEUSS_OWN" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SEUSS_OWN" "") f
 
 let test_census_hooks_run_at_quiescence () =
   let engine = Sim.Engine.create ~seed:3L ~own:true () in

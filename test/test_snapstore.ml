@@ -23,15 +23,7 @@
 module F = Mem.Frame
 module PT = Mem.Page_table
 
-let base_seed =
-  match Sys.getenv_opt "SEUSS_PROP_SEED" with
-  | None -> 23L
-  | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "test_snapstore: malformed SEUSS_PROP_SEED %S\n" s;
-          23L)
+let base_seed = Option.value (Knobs.prop_seed ()) ~default:23L
 
 let schedules = 200
 
