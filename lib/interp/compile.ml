@@ -107,3 +107,30 @@ let compile src =
       Error (Printf.sprintf "parse error at %d:%d: %s" line col msg)
   | exception Lexer.Lex_error (msg, line, col) ->
       Error (Printf.sprintf "lex error at %d:%d: %s" line col msg)
+
+module Cache = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = string
+
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
+
+  let capacity = 2048
+
+  type nonrec t = (t, string) result Tbl.t
+
+  let create () = Tbl.create 16
+
+  (* A hit is a hash, one string compare and a bucket walk: no allocation.
+     A miss on a full table flushes it whole, so what is cached depends
+     only on the sequence of sources, never on timing or eviction order. *)
+  let find_or_compile cache src =
+    match Tbl.find cache src with
+    | r -> r
+    | exception Not_found ->
+        let r = compile src in
+        if Tbl.length cache >= capacity then Tbl.clear cache;
+        Tbl.add cache src r;
+        r
+end

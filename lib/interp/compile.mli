@@ -20,3 +20,26 @@ val compile : string -> (t, string) result
 val fold_program : Ast.program -> Ast.program
 (** Constant folding: arithmetic/comparison on literals, branch pruning
     on constant conditions. Exposed for tests. *)
+
+(** A bounded memo of {!compile} keyed by source text — the host-side
+    counterpart of the function snapshot: a source the node has already
+    compiled is not lexed, parsed and folded again. Sound because a
+    {!t} is immutable and a pure function of its source, and callers
+    charge simulated cost from its fields, which a hit returns
+    unchanged. *)
+module Cache : sig
+  type compiled := t
+
+  type t
+
+  val capacity : int
+  (** Entries held before the table is flushed whole (2048: a
+      full-scale fig_load's 1024 functions plus scripts and argument
+      literals). *)
+
+  val create : unit -> t
+
+  val find_or_compile : t -> string -> (compiled, string) result
+  (** [compile src], memoised. [Error] results are cached too. A hit
+      returns the physically same value and allocates nothing. *)
+end

@@ -2,10 +2,12 @@ type t = {
   compiled : Compile.t;
   env : Value.env;
   hooks : Eval.hooks;
+  cache : Compile.Cache.t;
 }
 
-let load ?(hooks = Eval.default_hooks) ~host source =
-  match Compile.compile source with
+let load ?(hooks = Eval.default_hooks) ?(cache = Compile.Cache.create ()) ~host
+    source =
+  match Compile.Cache.find_or_compile cache source with
   | Error _ as e -> e
   | Ok compiled -> (
       let globals = Value.new_env () in
@@ -14,7 +16,7 @@ let load ?(hooks = Eval.default_hooks) ~host source =
         (Builtins.install host);
       let env = Value.new_env ~parent:globals () in
       match Eval.exec_program hooks ~env compiled.Compile.ast with
-      | () -> Ok { compiled; env; hooks }
+      | () -> Ok { compiled; env; hooks; cache }
       | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
 
@@ -24,7 +26,12 @@ let clone ?hooks ~host t =
   let hooks = Option.value hooks ~default:t.hooks in
   let builtins = Builtins.install host in
   let rebind_builtin name = List.assoc_opt name builtins in
-  { compiled = t.compiled; env = Value.deep_copy_env ~rebind_builtin t.env; hooks }
+  {
+    compiled = t.compiled;
+    env = Value.deep_copy_env ~rebind_builtin t.env;
+    hooks;
+    cache = t.cache;
+  }
 
 let call t ~fname args =
   match Value.lookup t.env fname with
@@ -36,7 +43,7 @@ let call t ~fname args =
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
 
 let parse_literal t source =
-  match Compile.compile source with
+  match Compile.Cache.find_or_compile t.cache source with
   | Error _ as e -> e
   | Ok { Compile.ast; _ } -> (
       match ast with

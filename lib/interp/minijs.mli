@@ -15,17 +15,25 @@ type t
 (** A loaded program instance (bindings live in its global scope). *)
 
 val load :
-  ?hooks:Eval.hooks -> host:Builtins.host -> string -> (t, string) result
+  ?hooks:Eval.hooks ->
+  ?cache:Compile.Cache.t ->
+  host:Builtins.host ->
+  string ->
+  (t, string) result
 (** Compile source and execute its top-level, binding declarations.
-    Returns [Error] on syntax or top-level runtime errors. *)
+    Returns [Error] on syntax or top-level runtime errors. The compile
+    goes through [cache] (default: a fresh private one, so the source
+    is always compiled from scratch), and the instance keeps it for
+    {!parse_literal}. The top level runs on every load, hit or miss. *)
 
 val compiled : t -> Compile.t
 
 val clone : ?hooks:Eval.hooks -> host:Builtins.host -> t -> t
 (** An isolated copy of the program instance: the environment graph is
     deep-copied ({!Value.deep_copy_env}) and builtins are rebound to the
-    new [host]/[hooks]. Used on snapshot capture (freeze a template) and
-    on deploy (give each UC its own mutable world). *)
+    new [host]/[hooks]; the compile cache is shared. Used on snapshot
+    capture (freeze a template) and on deploy (give each UC its own
+    mutable world). *)
 
 val call : t -> fname:string -> Value.t list -> (Value.t, string) result
 (** Call a global function by name. *)
@@ -35,4 +43,6 @@ val run_main : t -> args_literal:string -> (string, string) result
     JSON-rendered result. *)
 
 val parse_literal : t -> string -> (Value.t, string) result
-(** Evaluate a literal/expression string in the program's scope. *)
+(** Evaluate a literal/expression string in the program's scope. The
+    text is compiled through the instance's cache, so a repeated literal
+    (every invocation's ["{}"]) is lexed and parsed once. *)

@@ -13,6 +13,7 @@ type t = {
   mutable ucs_created : int;
   mutable ucs_released : int;
   mutable pins : int;
+  compile_cache : Interp.Compile.Cache.t;
 }
 
 let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
@@ -74,6 +75,7 @@ let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
     ucs_created = 0;
     ucs_released = 0;
     pins = 0;
+    compile_cache = Interp.Compile.Cache.create ();
   }
 
 (* seussheat: cold — ledger bumps sit on UC create/destroy and the pin

@@ -21,6 +21,10 @@ type t = {
       (** ownership-census ledger: UCs booted on this OS instance *)
   mutable ucs_released : int;  (** UCs whose [Uc.destroy] released *)
   mutable pins : int;  (** snapshot pin windows currently open *)
+  compile_cache : Interp.Compile.Cache.t;
+      (** host-side memo of MiniJS compiles, shared by every guest on
+          this OS instance (host work only: simulated cost is charged
+          from the compile result, hit or miss) *)
 }
 
 val create :

@@ -25,7 +25,10 @@
     {!Config.snap_policy} until it fits, each eviction emitting
     {!Obs.Event.Snap_evict} and falling the function back to the cold
     path. All ordering is deterministic: a logical insert/lookup tick,
-    [Det]-ordered victim scans, no wallclock, no PRNG draws. *)
+    victims chosen as the minimum of an unsorted scan under a total
+    order (the policy key, then the tick, then the unique fn_id) — the
+    same victim whatever order the scan visits members in — no
+    wallclock, no PRNG draws. *)
 
 type t
 

@@ -50,6 +50,7 @@ let guest_env env t =
     hypercalls = hypercalls env t;
     rng = Sim.Prng.split env.Osenv.rng;
     cpu_burn = Osenv.burn env;
+    compile_cache = env.Osenv.compile_cache;
   }
 
 let make env ~image ~space ~source =

@@ -447,7 +447,7 @@ let wait_end t token =
    daemons are reported only when they sit on a cycle. *)
 (* seussheat: cold — quiescence analysis, runs once per drained armed run *)
 let stranded_waiters t =
-  if not t.deadlock then []
+  if (not t.deadlock) || Hashtbl.length t.waits = 0 then []
   else begin
     let entries = Det.bindings t.waits in
     let waiting = List.map (fun (_, w) -> w.w_pid) entries in
@@ -583,11 +583,14 @@ let restore_idle t =
   t.proc <- None;
   current := None
 
-(* seussheat: cold — runs once per drained armed run, off the dispatch path *)
+(* seussheat: cold — runs once per drained armed run, off the dispatch path.
+   An empty wait table returns before building the closure, so natural
+   quiescence with nothing parked allocates nothing. *)
 let report_stranded t =
-  List.iter
-    (fun s -> List.iter (fun f -> f s) (List.rev t.deadlock_reporters))
-    (stranded_waiters t)
+  if Hashtbl.length t.waits > 0 then
+    List.iter
+      (fun s -> List.iter (fun f -> f s) (List.rev t.deadlock_reporters))
+      (stranded_waiters t)
 
 (* seussheat: cold — runs once per drained armed run, off the dispatch path *)
 let run_census t = List.iter (fun f -> f ()) (List.rev t.census_hooks)

@@ -5,6 +5,7 @@ type env = {
   hypercalls : Hypercall.t;
   rng : Sim.Prng.t;
   cpu_burn : float -> unit;
+  compile_cache : Interp.Compile.Cache.t;
 }
 
 type warmth = {
@@ -189,7 +190,10 @@ let reply t conn r =
 let compile_into t source =
   ensure_compiler t;
   t.alloc_to_heap <- true;
-  match Interp.Minijs.load ~hooks:t.hooks ~host:t.host source with
+  match
+    Interp.Minijs.load ~hooks:t.hooks ~cache:t.env.compile_cache ~host:t.host
+      source
+  with
   | Error msg -> Error msg
   | Ok instance ->
       let compiled = Interp.Minijs.compiled instance in

@@ -26,6 +26,10 @@ type env = {
           core-semaphore-backed implementation so that guest compute
           contends for the node's 16 cores while guest IO waits do not
           (EbbRT's event-driven model); tests pass [Sim.Engine.sleep]. *)
+  compile_cache : Interp.Compile.Cache.t;
+      (** the node's host-side compile memo: every program load goes
+          through it. It saves host work only; the guest is charged
+          from the compile result's node count and size either way. *)
 }
 
 type state

@@ -429,6 +429,151 @@ let test_ops_budget_stops_runaway () =
       Alcotest.(check bool) "mentions budget" true
         (String.length msg > 0)
 
+(* {1 Compile cache} *)
+
+module Cache = Interp.Compile.Cache
+
+let compiled_ok = function
+  | Ok c -> c
+  | Error e -> Alcotest.failf "compile failed: %s" e
+
+let test_cache_hit_is_physical () =
+  let cache = Cache.create () in
+  let src = "function main(args) { return 1 + 2; }" in
+  let first = compiled_ok (Cache.find_or_compile cache src) in
+  (* A copy of the text, not the same string, still hits. *)
+  let again = compiled_ok (Cache.find_or_compile cache (String.cat src "")) in
+  Alcotest.(check bool) "hit returns the cached compile" true (first == again);
+  Alcotest.(check bool) "equal to a fresh compile" true
+    (compare first (compiled_ok (Interp.Compile.compile src)) = 0)
+
+let test_cache_memoises_errors () =
+  let cache = Cache.create () in
+  let bad = "function f(a { }" in
+  let r1 = Cache.find_or_compile cache bad in
+  let r2 = Cache.find_or_compile cache bad in
+  (match (r1, Interp.Compile.compile bad) with
+  | Error e1, Error e -> Alcotest.(check string) "same error text" e e1
+  | _ -> Alcotest.fail "expected a syntax error");
+  Alcotest.(check bool) "error memoised" true (r1 == r2)
+
+let test_cache_flushes_when_full () =
+  let cache = Cache.create () in
+  let src i = Printf.sprintf "let x%d = %d + 1;" i i in
+  let first = compiled_ok (Cache.find_or_compile cache (src 0)) in
+  for i = 1 to Cache.capacity do
+    let c = compiled_ok (Cache.find_or_compile cache (src i)) in
+    if compare c (compiled_ok (Interp.Compile.compile (src i))) <> 0 then
+      Alcotest.failf "entry %d differs from a fresh compile" i
+  done;
+  (* Entry [capacity + 1] flushed the table: source 0 compiles again,
+     to an equal but new value. *)
+  let again = compiled_ok (Cache.find_or_compile cache (src 0)) in
+  Alcotest.(check bool) "flushed" false (first == again);
+  Alcotest.(check bool) "still correct" true (compare first again = 0);
+  Alcotest.(check bool) "re-cached" true
+    (again == compiled_ok (Cache.find_or_compile cache (src 0)))
+
+let test_cache_instances_isolated () =
+  let cache = Cache.create () in
+  let src =
+    "let calls = 0; function main(args) { calls = calls + 1; args.seen = \
+     calls; return args; }"
+  in
+  let load () =
+    match Interp.Minijs.load ~cache ~host src with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let a = load () and b = load () in
+  Alcotest.(check bool) "one compile serves both" true
+    (Interp.Minijs.compiled a == Interp.Minijs.compiled b);
+  let run p =
+    match Interp.Minijs.run_main p ~args_literal:"{}" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "a first" {|{"seen": 1}|} (run a);
+  Alcotest.(check string) "a again" {|{"seen": 2}|} (run a);
+  (* [b]'s global is untouched by [a]'s calls, and the cached ["{}"]
+     literal yields a fresh object on every call. *)
+  Alcotest.(check string) "b isolated" {|{"seen": 1}|} (run b)
+
+let test_cache_hit_allocation () =
+  let cache = Cache.create () in
+  ignore (Cache.find_or_compile cache "{}");
+  let hits = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to hits do
+    ignore (Sys.opaque_identity (Cache.find_or_compile cache "{}"))
+  done;
+  let w1 = Gc.minor_words () in
+  if w1 -. w0 > 16.0 then
+    Alcotest.failf "%d hits on {} allocated %.0f minor words" hits (w1 -. w0)
+
+(* The memo's correctness contract, fuzzed: [compile] never raises, and
+   the cache (on a miss and on the hit after it) returns a result
+   structurally equal to an uncached compile. [compare] rather than [=]
+   so a folded NaN literal compares equal to itself. *)
+let same_as_uncached cache src =
+  let fresh = Interp.Compile.compile src in
+  let miss = Cache.find_or_compile cache src in
+  let hit = Cache.find_or_compile cache src in
+  miss == hit && compare miss fresh = 0
+
+let fuzz_cache = Cache.create ()
+
+let random_bytes_compile =
+  QCheck.Test.make ~name:"random bytes compile like uncached" ~count:500
+    QCheck.(make ~print:Print.string Gen.(string_size (int_range 0 200)))
+    (same_as_uncached fuzz_cache)
+
+(* One representative source per import profile, plus the driver's
+   warm-up script. *)
+let corpus =
+  let first p =
+    let rec go i =
+      if Workload.Fnset.profile_of_index i = p then Workload.Fnset.source i
+      else go (i + 1)
+    in
+    go 0
+  in
+  [
+    first Workload.Fnset.Small;
+    first Workload.Fnset.Medium;
+    first Workload.Fnset.Large;
+    Unikernel.Driver.dummy_script;
+  ]
+
+type edit = Truncate of int | Set of int * char | Delete of int * int
+
+let apply_edit src = function
+  | _ when src = "" -> src
+  | Truncate at -> String.sub src 0 (at mod String.length src)
+  | Set (at, c) ->
+      String.mapi (fun i x -> if i = at mod String.length src then c else x) src
+  | Delete (at, len) ->
+      let n = String.length src in
+      let at = at mod n in
+      let len = min len (n - at) in
+      String.sub src 0 at ^ String.sub src (at + len) (n - at - len)
+
+let mutated_sources_compile =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl corpus)
+        (list_size (int_range 1 4)
+           (frequency
+              [
+                (1, map (fun at -> Truncate at) nat);
+                (4, map2 (fun at c -> Set (at, c)) nat char);
+                (2, map2 (fun at len -> Delete (at, len)) nat (int_range 1 8));
+              ])))
+  in
+  QCheck.Test.make ~name:"mutated sources compile like uncached" ~count:400
+    (QCheck.make gen) (fun (src, edits) ->
+      same_as_uncached fuzz_cache (List.fold_left apply_edit src edits))
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   let qcase = QCheck_alcotest.to_alcotest in
@@ -472,6 +617,16 @@ let () =
           case "shares nothing mutable" test_clone_shares_nothing_mutable;
           case "rebinds host" test_clone_rebinds_host;
           case "handles cycles" test_clone_handles_cycles;
+        ] );
+      ( "cache",
+        [
+          case "hit is physical" test_cache_hit_is_physical;
+          case "memoises errors" test_cache_memoises_errors;
+          case "flushes when full" test_cache_flushes_when_full;
+          case "instances isolated" test_cache_instances_isolated;
+          case "hit allocation" test_cache_hit_allocation;
+          qcase random_bytes_compile;
+          qcase mutated_sources_compile;
         ] );
       ( "metering",
         [

@@ -106,6 +106,36 @@ let test_function_snapshot_cached_once () =
       let s = N.stats node in
       Alcotest.(check int) "one capture" 1 s.N.snapshots_captured)
 
+(* The node's compile cache saves host work only: a cold start whose
+   source the cache already holds costs the same simulated time and
+   leaves the same counters as one that compiles from scratch. *)
+let test_cold_start_on_warm_compile_cache () =
+  let f = fn ~id:"cached" (Workload.Fnset.source 1) in
+  let cold ~prewarm =
+    with_node (fun env node ->
+        let cache = env.Seuss.Osenv.compile_cache in
+        let held =
+          if prewarm then
+            Some (Interp.Compile.Cache.find_or_compile cache f.N.source)
+          else None
+        in
+        let (out, path), latency =
+          timed (fun () -> expect_ok (N.invoke node f ~args:"{}"))
+        in
+        (match held with
+        | Some r ->
+            Alcotest.(check bool) "the guest compiled through the cache" true
+              (r == Interp.Compile.Cache.find_or_compile cache f.N.source)
+        | None -> ());
+        (out, path = N.Cold, latency, N.stats node))
+  in
+  let out0, cold0, lat0, stats0 = cold ~prewarm:false in
+  let out1, cold1, lat1, stats1 = cold ~prewarm:true in
+  Alcotest.(check bool) "both cold" true (cold0 && cold1);
+  Alcotest.(check string) "same output" out0 out1;
+  Alcotest.(check (float 0.0)) "same simulated latency" lat0 lat1;
+  Alcotest.(check bool) "same stats" true (stats0 = stats1)
+
 let test_distinct_functions_isolated () =
   with_node (fun _env node ->
       let counter id =
@@ -1001,6 +1031,8 @@ let () =
           case "cold warm hot" test_cold_then_warm_then_hot;
           case "fn snapshot cached once" test_function_snapshot_cached_once;
           case "functions isolated" test_distinct_functions_isolated;
+          case "cold start on warm compile cache"
+            test_cold_start_on_warm_compile_cache;
           case "compile error" test_compile_error_reported;
           case "runtime error" test_runtime_error_reported;
           case "args flow" test_args_flow_through;

@@ -108,6 +108,7 @@ let make_harness ?(image = Unikernel.Image.node) () =
       hypercalls;
       rng = Sim.Prng.create 99L;
       cpu_burn = Sim.Engine.sleep;
+      compile_cache = Interp.Compile.Cache.create ();
     }
   in
   let state = ref None in
@@ -274,6 +275,7 @@ let test_capture_restore_isolates () =
           hypercalls = Unikernel.Hypercall.null;
           rng = Sim.Prng.create 5L;
           cpu_burn = Sim.Engine.sleep;
+          compile_cache = Interp.Compile.Cache.create ();
         }
       in
       let s1 = G.restore (restored_env "a" 9001) snap in
