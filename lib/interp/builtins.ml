@@ -1,4 +1,4 @@
-type host = {
+type host = Value.host = {
   http_get : string -> (string, string) result;
   log : string -> unit;
   now : unit -> float;
@@ -34,20 +34,20 @@ let string_arg name = function
 let num1 name f =
   Value.Builtin
     ( name,
-      fun args ->
+      fun _ args ->
         arity name 1 args;
         Value.Num (f (num name (List.hd args))) )
 
-let install host =
-  let ret_str s =
-    host.alloc (24 + String.length s);
-    Value.Str s
-  in
+let ret_str host s =
+  host.alloc (24 + String.length s);
+  Value.Str s
+
+let table =
   [
     ( "len",
       Value.Builtin
         ( "len",
-          fun args ->
+          fun _ args ->
             arity "len" 1 args;
             match args with
             | [ Value.Arr a ] -> Value.Num (float_of_int a.Value.len)
@@ -58,7 +58,7 @@ let install host =
     ( "push",
       Value.Builtin
         ( "push",
-          fun args ->
+          fun host args ->
             arity "push" 2 args;
             match args with
             | [ Value.Arr a; v ] ->
@@ -70,7 +70,7 @@ let install host =
     ( "keys",
       Value.Builtin
         ( "keys",
-          fun args ->
+          fun host args ->
             arity "keys" 1 args;
             match args with
             | [ Value.Obj h ] ->
@@ -83,16 +83,16 @@ let install host =
     ( "str",
       Value.Builtin
         ( "str",
-          fun args ->
+          fun host args ->
             arity "str" 1 args;
             match args with
             | [ Value.Str s ] -> Value.Str s
-            | [ v ] -> ret_str (Value.to_string v)
+            | [ v ] -> ret_str host (Value.to_string v)
             | _ -> assert false ) );
     ( "num",
       Value.Builtin
         ( "num",
-          fun args ->
+          fun _ args ->
             arity "num" 1 args;
             match args with
             | [ Value.Num n ] -> Value.Num n
@@ -109,7 +109,7 @@ let install host =
     ( "min",
       Value.Builtin
         ( "min",
-          fun args ->
+          fun _ args ->
             arity "min" 2 args;
             match args with
             | [ a; b ] -> Value.Num (Float.min (num "min" a) (num "min" b))
@@ -117,7 +117,7 @@ let install host =
     ( "max",
       Value.Builtin
         ( "max",
-          fun args ->
+          fun _ args ->
             arity "max" 2 args;
             match args with
             | [ a; b ] -> Value.Num (Float.max (num "max" a) (num "max" b))
@@ -125,7 +125,7 @@ let install host =
     ( "pow",
       Value.Builtin
         ( "pow",
-          fun args ->
+          fun _ args ->
             arity "pow" 2 args;
             match args with
             | [ a; b ] -> Value.Num (Float.pow (num "pow" a) (num "pow" b))
@@ -133,7 +133,7 @@ let install host =
     ( "substr",
       Value.Builtin
         ( "substr",
-          fun args ->
+          fun host args ->
             arity "substr" 3 args;
             match args with
             | [ s; start; len ] ->
@@ -142,12 +142,12 @@ let install host =
                 let len = int_of_float (num "substr" len) in
                 if start < 0 || len < 0 || start + len > String.length s then
                   error "substr: out of bounds"
-                else ret_str (String.sub s start len)
+                else ret_str host (String.sub s start len)
             | _ -> assert false ) );
     ( "split",
       Value.Builtin
         ( "split",
-          fun args ->
+          fun host args ->
             arity "split" 2 args;
             match args with
             | [ s; sep ] ->
@@ -168,7 +168,7 @@ let install host =
     ( "range",
       Value.Builtin
         ( "range",
-          fun args ->
+          fun host args ->
             arity "range" 1 args;
             let n = int_of_float (num "range" (List.hd args)) in
             if n < 0 || n > 10_000_000 then error "range: bad bound %d" n
@@ -182,13 +182,13 @@ let install host =
     ( "json",
       Value.Builtin
         ( "json",
-          fun args ->
+          fun host args ->
             arity "json" 1 args;
-            ret_str (Value.to_string (List.hd args)) ) );
+            ret_str host (Value.to_string (List.hd args)) ) );
     ( "hash",
       Value.Builtin
         ( "hash",
-          fun args ->
+          fun _ args ->
             arity "hash" 1 args;
             (* FNV-1a: honest per-character work for CPU-ish examples. *)
             let s = string_arg "hash" (List.hd args) in
@@ -201,7 +201,7 @@ let install host =
     ( "join",
       Value.Builtin
         ( "join",
-          fun args ->
+          fun host args ->
             arity "join" 2 args;
             match args with
             | [ Value.Arr a; sep ] ->
@@ -211,13 +211,13 @@ let install host =
                     (function Value.Str s -> s | v -> Value.to_string v)
                     (Value.arr_items a)
                 in
-                ret_str (String.concat sep parts)
+                ret_str host (String.concat sep parts)
             | [ v; _ ] -> error "join: expected array, got %s" (Value.type_name v)
             | _ -> assert false ) );
     ( "contains",
       Value.Builtin
         ( "contains",
-          fun args ->
+          fun _ args ->
             arity "contains" 2 args;
             match args with
             | [ s; needle ] ->
@@ -232,7 +232,7 @@ let install host =
     ( "index_of",
       Value.Builtin
         ( "index_of",
-          fun args ->
+          fun _ args ->
             arity "index_of" 2 args;
             match args with
             | [ Value.Arr a; v ] ->
@@ -258,25 +258,27 @@ let install host =
     ( "upper",
       Value.Builtin
         ( "upper",
-          fun args ->
+          fun host args ->
             arity "upper" 1 args;
-            ret_str (String.uppercase_ascii (string_arg "upper" (List.hd args))) ) );
+            ret_str host
+              (String.uppercase_ascii (string_arg "upper" (List.hd args))) ) );
     ( "lower",
       Value.Builtin
         ( "lower",
-          fun args ->
+          fun host args ->
             arity "lower" 1 args;
-            ret_str (String.lowercase_ascii (string_arg "lower" (List.hd args))) ) );
+            ret_str host
+              (String.lowercase_ascii (string_arg "lower" (List.hd args))) ) );
     ( "trim",
       Value.Builtin
         ( "trim",
-          fun args ->
+          fun host args ->
             arity "trim" 1 args;
-            ret_str (String.trim (string_arg "trim" (List.hd args))) ) );
+            ret_str host (String.trim (string_arg "trim" (List.hd args))) ) );
     ( "slice",
       Value.Builtin
         ( "slice",
-          fun args ->
+          fun host args ->
             arity "slice" 3 args;
             match args with
             | [ Value.Arr a; start; count ] ->
@@ -298,7 +300,7 @@ let install host =
     ( "sort",
       Value.Builtin
         ( "sort",
-          fun args ->
+          fun host args ->
             arity "sort" 1 args;
             match args with
             | [ Value.Arr a ] ->
@@ -318,7 +320,7 @@ let install host =
     ( "print",
       Value.Builtin
         ( "print",
-          fun args ->
+          fun host args ->
             let text =
               String.concat " "
                 (List.map
@@ -330,19 +332,19 @@ let install host =
     ( "now",
       Value.Builtin
         ( "now",
-          fun args ->
+          fun host args ->
             arity "now" 0 args;
             Value.Num (host.now ()) ) );
     ( "random",
       Value.Builtin
         ( "random",
-          fun args ->
+          fun host args ->
             arity "random" 0 args;
             Value.Num (host.random ()) ) );
     ( "work",
       Value.Builtin
         ( "work",
-          fun args ->
+          fun host args ->
             arity "work" 1 args;
             let ms = num "work" (List.hd args) in
             if ms < 0.0 then error "work: negative duration";
@@ -351,10 +353,10 @@ let install host =
     ( "http_get",
       Value.Builtin
         ( "http_get",
-          fun args ->
+          fun host args ->
             arity "http_get" 1 args;
             let url = string_arg "http_get" (List.hd args) in
             match host.http_get url with
-            | Ok body -> ret_str body
+            | Ok body -> ret_str host body
             | Error msg -> error "http_get: %s" msg ) );
   ]

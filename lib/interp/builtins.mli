@@ -1,30 +1,26 @@
-(** The MiniJS standard library, parameterized by a host interface.
+(** The MiniJS standard library: one static table of builtins shared by
+    every program instance.
 
-    The host interface is how guest code reaches the outside world — in
-    the full system it is backed by the unikernel's hypercall surface
-    (HTTP through the simulated network, time from the simulated clock),
-    keeping the guest as isolated as the paper's Solo5-style domain. *)
+    A builtin takes the calling instance's {!Value.host} as its first
+    argument ({!Eval} passes it), so no builtin captures a host and a
+    clone never rebuilds or rebinds them. *)
 
-type host = {
+type host = Value.host = {
   http_get : string -> (string, string) result;
-      (** Outbound HTTP GET; in the simulator this blocks the calling
-          process for the modeled network time. *)
-  log : string -> unit;  (** console output *)
-  now : unit -> float;  (** seconds since guest boot *)
+  log : string -> unit;
+  now : unit -> float;
   work_ms : float -> unit;
-      (** [work_ms d]: occupy the CPU for [d] simulated milliseconds —
-          the paper's ~150 ms CPU-bound burst function uses this to model
-          a tight numeric kernel without host-side cost. *)
-  alloc : int -> unit;  (** guest-heap allocation accounting *)
-  random : unit -> float;  (** deterministic per-guest PRNG draw *)
+  alloc : int -> unit;
+  random : unit -> float;
 }
+(** Re-export of {!Value.host}, where the fields are documented. *)
 
 val null_host : host
 (** No-op host for host-side unit tests: [http_get] fails, [now] is 0. *)
 
-val install : host -> (string * Value.t) list
-(** Global bindings: [len], [push], [keys], [str], [num], [floor],
-    [abs], [min], [max], [pow], [sqrt], [substr], [split], [join],
-    [contains], [index_of], [upper], [lower], [trim], [slice], [sort],
-    [range], [json], [hash], [print], [now], [random], [work],
-    [http_get]. *)
+val table : (string * Value.t) list
+(** Global bindings, built once at module initialisation: [len],
+    [push], [keys], [str], [num], [floor], [abs], [min], [max], [pow],
+    [sqrt], [substr], [split], [join], [contains], [index_of], [upper],
+    [lower], [trim], [slice], [sort], [range], [json], [hash], [print],
+    [now], [random], [work], [http_get]. *)

@@ -13,7 +13,12 @@ exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 
-type ctx = { hooks : hooks; mutable ops : int; mutable unbilled : int }
+type ctx = {
+  hooks : hooks;
+  host : Value.host;
+  mutable ops : int;
+  mutable unbilled : int;
+}
 
 (* CPU time is reported in batches to keep simulated-event counts sane on
    busy loops. *)
@@ -143,7 +148,7 @@ let rec eval ctx env (e : Ast.expr) : Value.t =
 
 and apply ctx fv argv =
   match fv with
-  | Value.Builtin (_, f) -> f argv
+  | Value.Builtin (_, f) -> f ctx.host argv
   | Value.Closure { Value.params; body; env } ->
       if List.length params <> List.length argv then
         error "arity mismatch: expected %d arguments, got %d"
@@ -217,21 +222,35 @@ and exec_scoped ctx env block =
 
 and exec_block ctx env block = List.iter (exec_stmt ctx env) block
 
-let with_ctx hooks f =
-  let ctx = { hooks; ops = 0; unbilled = 0 } in
-  match f ctx with
-  | v ->
-      flush ctx;
-      v
-  | exception exn ->
-      flush ctx;
-      raise exn
+(* Each entry point builds its context and flushes unbilled work on the
+   way out, with no closure around the body: these run once or twice per
+   invocation. *)
+let new_ctx hooks host = { hooks; host; ops = 0; unbilled = 0 }
 
-let exec_program hooks ~env program =
-  with_ctx hooks (fun ctx ->
-      try exec_block ctx env program
-      with Return_exc _ -> error "return outside function")
+let finish ctx v =
+  flush ctx;
+  v
 
-let call hooks f args = with_ctx hooks (fun ctx -> apply ctx f args)
+let abort ctx exn =
+  flush ctx;
+  raise exn
 
-let eval_expr hooks ~env e = with_ctx hooks (fun ctx -> eval ctx env e)
+let exec_program hooks ~host ~env program =
+  let ctx = new_ctx hooks host in
+  match exec_block ctx env program with
+  | () -> flush ctx
+  | exception Return_exc _ ->
+      abort ctx (Runtime_error "return outside function")
+  | exception exn -> abort ctx exn
+
+let call hooks ~host f args =
+  let ctx = new_ctx hooks host in
+  match apply ctx f args with
+  | v -> finish ctx v
+  | exception exn -> abort ctx exn
+
+let eval_expr hooks ~host ~env e =
+  let ctx = new_ctx hooks host in
+  match eval ctx env e with
+  | v -> finish ctx v
+  | exception exn -> abort ctx exn

@@ -26,10 +26,13 @@ exception Runtime_error of string
 exception Ops_exhausted
 (** The [max_ops] budget was hit. *)
 
-val exec_program : hooks -> env:Value.env -> Ast.program -> unit
-(** Execute top-level statements, binding declarations into [env]. *)
+val exec_program :
+  hooks -> host:Value.host -> env:Value.env -> Ast.program -> unit
+(** Execute top-level statements, binding declarations into [env].
+    Every builtin called on the way receives [host]. *)
 
-val call : hooks -> Value.t -> Value.t list -> Value.t
+val call : hooks -> host:Value.host -> Value.t -> Value.t list -> Value.t
 (** Apply a closure or builtin. @raise Runtime_error on a non-function. *)
 
-val eval_expr : hooks -> env:Value.env -> Ast.expr -> Value.t
+val eval_expr :
+  hooks -> host:Value.host -> env:Value.env -> Ast.expr -> Value.t

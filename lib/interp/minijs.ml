@@ -2,6 +2,7 @@ type t = {
   compiled : Compile.t;
   env : Value.env;
   hooks : Eval.hooks;
+  host : Value.host;
   cache : Compile.Cache.t;
 }
 
@@ -11,33 +12,28 @@ let load ?(hooks = Eval.default_hooks) ?(cache = Compile.Cache.create ()) ~host
   | Error _ as e -> e
   | Ok compiled -> (
       let globals = Value.new_env () in
-      List.iter
-        (fun (name, v) -> Value.define globals name v)
-        (Builtins.install host);
+      List.iter (fun (name, v) -> Value.define globals name v) Builtins.table;
       let env = Value.new_env ~parent:globals () in
-      match Eval.exec_program hooks ~env compiled.Compile.ast with
-      | () -> Ok { compiled; env; hooks; cache }
+      match Eval.exec_program hooks ~host ~env compiled.Compile.ast with
+      | () -> Ok { compiled; env; hooks; host; cache }
       | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
 
 let compiled t = t.compiled
 
 let clone ?hooks ~host t =
-  let hooks = Option.value hooks ~default:t.hooks in
-  let builtins = Builtins.install host in
-  let rebind_builtin name = List.assoc_opt name builtins in
   {
-    compiled = t.compiled;
-    env = Value.deep_copy_env ~rebind_builtin t.env;
-    hooks;
-    cache = t.cache;
+    t with
+    env = Value.deep_copy_env t.env;
+    hooks = Option.value hooks ~default:t.hooks;
+    host;
   }
 
 let call t ~fname args =
   match Value.lookup t.env fname with
   | None -> Error (Printf.sprintf "no function '%s'" fname)
   | Some f -> (
-      match Eval.call t.hooks f args with
+      match Eval.call t.hooks ~host:t.host f args with
       | v -> Ok v
       | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
       | exception Eval.Ops_exhausted -> Error "runtime error: step budget exhausted")
@@ -48,7 +44,7 @@ let parse_literal t source =
   | Ok { Compile.ast; _ } -> (
       match ast with
       | [ Ast.Expr e ] -> (
-          match Eval.eval_expr t.hooks ~env:t.env e with
+          match Eval.eval_expr t.hooks ~host:t.host ~env:t.env e with
           | v -> Ok v
           | exception Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
           | exception Eval.Ops_exhausted ->

@@ -29,11 +29,13 @@ val load :
 val compiled : t -> Compile.t
 
 val clone : ?hooks:Eval.hooks -> host:Builtins.host -> t -> t
-(** An isolated copy of the program instance: the environment graph is
-    deep-copied ({!Value.deep_copy_env}) and builtins are rebound to the
-    new [host]/[hooks]; the compile cache is shared. Used on snapshot
-    capture (freeze a template) and on deploy (give each UC its own
-    mutable world). *)
+(** An isolated copy of the program instance that runs against [host]
+    (and [hooks], default: [t]'s). Only the mutable cells of the
+    environment graph are copied ({!Value.deep_copy_env}); builtins,
+    strings, closure bodies, the compiled program and the compile cache
+    are shared, and builtins reach the new [host] because {!Eval} passes
+    the caller's host to them. Used on snapshot capture (freeze a
+    template) and on deploy (give each UC its own mutable world). *)
 
 val call : t -> fname:string -> Value.t list -> (Value.t, string) result
 (** Call a global function by name. *)

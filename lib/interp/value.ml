@@ -1,3 +1,12 @@
+type host = {
+  http_get : string -> (string, string) result;
+  log : string -> unit;
+  now : unit -> float;
+  work_ms : float -> unit;
+  alloc : int -> unit;
+  random : unit -> float;
+}
+
 type t =
   | Null
   | Bool of bool
@@ -6,7 +15,7 @@ type t =
   | Arr of arr
   | Obj of (string, t) Hashtbl.t
   | Closure of closure
-  | Builtin of string * (t list -> t)
+  | Builtin of string * (host -> t list -> t)
 
 and arr = { mutable items : t array; mutable len : int }
 
@@ -107,71 +116,87 @@ let heap_bytes = function
   | Closure c -> 64 + (16 * List.length c.params)
   | Builtin _ -> 0
 
-(* Deep copy with physical-identity memoization. The memo tables must be
-   seeded *before* recursing into children because environment graphs are
-   cyclic (an env binds a closure whose env is that same env). Identity
-   lists are O(n^2) but guest programs are small. *)
-type memo = {
-  mutable envs : (env * env) list;
-  mutable vals : (t * t) list;
-  rebind : string -> t option;
-}
+(* Deep copy with physical-identity memoization. Each table or array
+   starts as a [Hashtbl.copy]/[Array.copy] of its source (same bucket
+   layout, no rehash), which already shares every scalar, string and
+   builtin; then only the slots holding a reference value are patched in
+   place to point at that value's copy. The memo is seeded *before*
+   recursing because environment graphs are cyclic (an env binds a
+   closure whose env is that same env). Identity lists are O(n^2) but
+   guest programs are small. *)
+type memo = { mutable envs : (env * env) list; mutable vals : (t * t) list }
+
+let rec memo_find orig = function
+  | [] -> None
+  | (o, copy) :: rest ->
+      (* seusslint: allow physical-eq — memo keyed by identity to preserve
+         sharing *)
+      if o == orig then Some copy else memo_find orig rest
+
+let is_ref = function
+  | Arr _ | Obj _ | Closure _ -> true
+  | Null | Bool _ | Num _ | Str _ | Builtin _ -> false
 
 let rec copy_value memo v =
-  match v with
-  | Null | Bool _ | Num _ | Str _ -> v
-  | Builtin (name, _) -> (
-      match memo.rebind name with Some fresh -> fresh | None -> v)
-  | Arr a -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
-      | None ->
-          let fresh = { items = Array.make (Array.length a.items) Null; len = a.len } in
-          let copy = Arr fresh in
-          memo.vals <- (v, copy) :: memo.vals;
-          for i = 0 to a.len - 1 do
-            fresh.items.(i) <- copy_value memo a.items.(i)
-          done;
-          copy)
-  | Obj h -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
-      | None ->
-          let fresh = Hashtbl.create (max 4 (Hashtbl.length h)) in
-          let copy = Obj fresh in
-          memo.vals <- (v, copy) :: memo.vals;
-          (* Sorted copy order so memo seeding (hence child sharing) does
-             not depend on the source table's bucket layout. *)
-          Det.iter (fun k x -> Hashtbl.replace fresh k (copy_value memo x)) h;
-          copy)
-  | Closure c -> (
-      match List.find_opt (fun (orig, _) -> orig == v) memo.vals with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-      | Some (_, copy) -> copy
-      | None ->
-          let copy = Closure { c with env = copy_env_memo memo c.env } in
-          memo.vals <- (v, copy) :: memo.vals;
-          copy)
+  if not (is_ref v) then v
+  else
+    match memo_find v memo.vals with
+    | Some copy -> copy
+    | None -> copy_ref memo v
 
-and copy_env_memo memo env =
-  match List.find_opt (fun (orig, _) -> orig == env) memo.envs with (* seusslint: allow physical-eq — memo table keyed by identity to preserve sharing *)
-  | Some (_, copy) -> copy
+and copy_ref memo v =
+  match v with
+  | Arr a ->
+      let fresh = { items = Array.copy a.items; len = a.len } in
+      let copy = Arr fresh in
+      memo.vals <- (v, copy) :: memo.vals;
+      for i = 0 to a.len - 1 do
+        let x = a.items.(i) in
+        if is_ref x then fresh.items.(i) <- copy_value memo x
+      done;
+      copy
+  | Obj h ->
+      let fresh = Hashtbl.copy h in
+      let copy = Obj fresh in
+      memo.vals <- (v, copy) :: memo.vals;
+      patch_table memo ~src:h ~dst:fresh;
+      copy
+  | Closure c -> (
+      let env = copy_env memo c.env in
+      (* Copying the env may have reached this closure already. *)
+      match memo_find v memo.vals with
+      | Some copy -> copy
+      | None ->
+          let copy = Closure { c with env } in
+          memo.vals <- (v, copy) :: memo.vals;
+          copy)
+  | Null | Bool _ | Num _ | Str _ | Builtin _ -> v
+
+(* [Hashtbl.replace] on a key [dst] already holds overwrites that
+   binding in place: no allocation, no resize. *)
+and patch_table memo ~src ~dst =
+  (* seusslint: allow hashtbl-order — each slot is patched independently
+     and the memo maps every source node to exactly one copy, so the
+     copied graph is the same whatever order the buckets are visited in *)
+  Hashtbl.iter
+    (fun k x -> if is_ref x then Hashtbl.replace dst k (copy_value memo x))
+    src
+
+and copy_env memo env =
+  match memo_find env memo.envs with
+  | Some copy -> copy
   | None ->
       (* Seed before touching parent or values: the graph may reach this
          env again through either. *)
-      let fresh =
-        { vars = Hashtbl.create (max 8 (Hashtbl.length env.vars)); parent = None }
-      in
+      let fresh = { vars = Hashtbl.copy env.vars; parent = None } in
       memo.envs <- (env, fresh) :: memo.envs;
       (match env.parent with
-      | Some p -> fresh.parent <- Some (copy_env_memo memo p)
+      | Some p -> fresh.parent <- Some (copy_env memo p)
       | None -> ());
-      Det.iter
-        (fun name v -> Hashtbl.replace fresh.vars name (copy_value memo v))
-        env.vars;
+      patch_table memo ~src:env.vars ~dst:fresh.vars;
       fresh
 
-let deep_copy_env ~rebind_builtin env =
-  copy_env_memo { envs = []; vals = []; rebind = rebind_builtin } env
+let deep_copy_env env = copy_env { envs = []; vals = [] } env
 
 let new_env ?parent () = { vars = Hashtbl.create 8; parent }
 

@@ -284,8 +284,8 @@ let boot ?(on_ready = ignore) env =
   t
 
 let freeze_program loaded =
-  (* Keep the original builtins in the template; [restore] rebinds them
-     to the deploying UC's host. *)
+  (* The template runs against no host; [restore] clones it with the
+     deploying UC's host, which the shared builtins receive on each call. *)
   {
     loaded with
     instance =

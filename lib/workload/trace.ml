@@ -68,63 +68,98 @@ let to_jsonl t =
     t.events;
   Buffer.contents buf
 
+type error = { event : int option; field : string; reason : string }
+
+let error_to_string e =
+  let where =
+    match e.event with
+    | None -> "trace header"
+    | Some i -> Printf.sprintf "trace event %d" i
+  in
+  if e.field = "" then Printf.sprintf "%s: %s" where e.reason
+  else Printf.sprintf "%s: %S %s" where e.field e.reason
+
 let ( let* ) r f = Result.bind r f
 
-let field name conv j =
+let fail ?event ?(field = "") fmt =
+  Printf.ksprintf (fun reason -> Error { event; field; reason }) fmt
+
+let field ?event name conv j =
   match Option.bind (Obs.Json.member name j) conv with
   | Some v -> Ok v
-  | None -> Error (Printf.sprintf "trace header: missing or bad %S" name)
+  | None -> fail ?event ~field:name "is missing or has the wrong type"
 
+let check name ok why v = if ok v then Ok v else fail ~field:name "%s" why
+
+let finite_nonneg x = Float.is_finite x && x >= 0.0
+
+let json ?event line =
+  match Obs.Json.of_string line with
+  | Ok j -> Ok j
+  | Error e -> fail ?event "not JSON: %s" e
+
+(* Everything [Replay] relies on is checked here: a trace that decodes
+   replays exactly the arrivals it lists. *)
 let of_jsonl s =
   let lines =
     String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
   in
   match lines with
-  | [] -> Error "trace: empty document"
+  | [] -> fail "empty document"
   | hd :: rest ->
-      let* h =
-        Result.map_error (fun e -> "trace header: " ^ e) (Obs.Json.of_string hd)
-      in
+      let* h = json hd in
       let* sch = field "schema" Obs.Json.to_str h in
-      if not (String.equal sch schema) then
-        Error (Printf.sprintf "trace: unknown schema %S" sch)
+      let* _ = check "schema" (String.equal schema) ("is not " ^ schema) sch in
+      let* functions = field "functions" Obs.Json.to_int h in
+      let* functions =
+        check "functions" (fun n -> n >= 1) "must be at least 1" functions
+      in
+      let* alpha = field "alpha" Obs.Json.to_float h in
+      let* alpha = check "alpha" Float.is_finite "must be finite" alpha in
+      let* horizon = field "horizon" Obs.Json.to_float h in
+      let* horizon =
+        check "horizon" finite_nonneg "must be finite and non-negative" horizon
+      in
+      let* arrival = field "arrival" Obs.Json.to_str h in
+      let* rate = field "rate" Obs.Json.to_float h in
+      let* rate =
+        check "rate" finite_nonneg "must be finite and non-negative" rate
+      in
+      let* seed_s = field "seed" Obs.Json.to_str h in
+      let* seed =
+        match Int64.of_string_opt seed_s with
+        | Some v -> Ok v
+        | None -> fail ~field:"seed" "is not an int64"
+      in
+      let* count = field "events" Obs.Json.to_int h in
+      let found = List.length rest in
+      if count <> found then
+        fail ~field:"events" "promises %d events, found %d" count found
       else
-        let* functions = field "functions" Obs.Json.to_int h in
-        let* alpha = field "alpha" Obs.Json.to_float h in
-        let* horizon = field "horizon" Obs.Json.to_float h in
-        let* arrival = field "arrival" Obs.Json.to_str h in
-        let* rate = field "rate" Obs.Json.to_float h in
-        let* seed_s = field "seed" Obs.Json.to_str h in
-        let* seed =
-          match Int64.of_string_opt seed_s with
-          | Some v -> Ok v
-          | None -> Error "trace header: seed is not an int64"
+        let events = Array.make count { at = 0.0; fn = 0 } in
+        let rec fill event prev = function
+          | [] -> Ok ()
+          | line :: rest ->
+              let* j = json ~event line in
+              let* at = field ~event "at" Obs.Json.to_float j in
+              let* fn = field ~event "fn" Obs.Json.to_int j in
+              if not (finite_nonneg at) then
+                fail ~event ~field:"at" "must be finite and non-negative"
+              else if at < prev then
+                fail ~event ~field:"at" "%g is before the previous event's %g"
+                  at prev
+              else if at >= horizon then
+                fail ~event ~field:"at" "%g is not before the horizon %g" at
+                  horizon
+              else if fn < 0 || fn >= functions then
+                fail ~event ~field:"fn" "%d is not in [0, %d)" fn functions
+              else begin
+                events.(event) <- { at; fn };
+                fill (event + 1) at rest
+              end
         in
-        let* count = field "events" Obs.Json.to_int h in
-        if count <> List.length rest then
-          Error
-            (Printf.sprintf "trace: header promises %d events, found %d" count
-               (List.length rest))
-        else
-          let events = Array.make count { at = 0.0; fn = 0 } in
-          let rec fill i = function
-            | [] -> Ok ()
-            | line :: rest -> (
-                match Obs.Json.of_string line with
-                | Error e -> Error (Printf.sprintf "trace event %d: %s" i e)
-                | Ok j ->
-                    let* at = field "at" Obs.Json.to_float j in
-                    let* fn = field "fn" Obs.Json.to_int j in
-                    if fn < 0 || fn >= functions then
-                      Error
-                        (Printf.sprintf "trace event %d: fn %d out of range" i fn)
-                    else begin
-                      events.(i) <- { at; fn };
-                      fill (i + 1) rest
-                    end)
-          in
-          let* () = fill 0 rest in
-          Ok { functions; alpha; horizon; arrival; rate; seed; events }
+        let* () = fill 0 0.0 rest in
+        Ok { functions; alpha; horizon; arrival; rate; seed; events }
 
 let save ~path t =
   let oc = open_out path in
@@ -138,4 +173,4 @@ let load ~path =
       let len = in_channel_length ic in
       let body = really_input_string ic len in
       close_in ic;
-      of_jsonl body
+      Result.map_error error_to_string (of_jsonl body)

@@ -33,8 +33,24 @@ val to_jsonl : t -> string
     [{"at":..,"fn":..}] line per event; trailing newline. Canonical:
     equal traces render byte-identically. *)
 
-val of_jsonl : string -> (t, string) result
+type error = {
+  event : int option;  (** 0-based event index; [None] for the header *)
+  field : string;  (** the offending field; [""] when the whole line is bad *)
+  reason : string;
+}
+
+val error_to_string : error -> string
+
+val of_jsonl : string -> (t, error) result
+(** Decode {!to_jsonl} output. Never raises. An [Ok] trace is one
+    {!Replay} can replay faithfully: [functions >= 1]; [alpha] finite;
+    [horizon] and [rate] finite and non-negative; every event's [at]
+    finite, non-negative, not before the previous event's and before
+    [horizon]; every [fn] in [\[0, functions)]. Anything else is an
+    [Error] naming the field and the event index. *)
 
 val save : path:string -> t -> unit
 
 val load : path:string -> (t, string) result
+(** Read and decode a file; [Error] carries the I/O error or
+    {!error_to_string} of the decode error. *)

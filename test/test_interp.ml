@@ -236,7 +236,8 @@ let folding_preserves_semantics =
           Interp.Value.Closure
             { Interp.Value.params = []; body = prog; env = Interp.Value.new_env () }
         in
-        Interp.Value.to_string (Interp.Eval.call Interp.Eval.default_hooks f [])
+        Interp.Value.to_string
+          (Interp.Eval.call Interp.Eval.default_hooks ~host f [])
       in
       run program = run (Interp.Compile.fold_program program))
 
@@ -302,6 +303,14 @@ let test_host_hooks () =
   Alcotest.(check (list string)) "log captured" [ "hi" ] !logged
 
 (* {1 Cloning} *)
+
+(* The lowest-indexed Fnset source of import profile [p]. *)
+let first_source p =
+  let rec go i =
+    if Workload.Fnset.profile_of_index i = p then Workload.Fnset.source i
+    else go (i + 1)
+  in
+  go 0
 
 let test_clone_isolates_mutation () =
   let src =
@@ -386,6 +395,128 @@ let test_clone_handles_cycles () =
   match Interp.Minijs.run_main original ~args_literal:"null" with
   | Ok s -> Alcotest.(check string) "original unaffected" "2" s
   | Error e -> Alcotest.fail e
+
+let test_clone_builtin_names_per_instance () =
+  let src =
+    "function shadow(a) { len = a; return 0; } function main(a) { return \
+     len(\"abc\"); }"
+  in
+  let call p fname =
+    match Interp.Minijs.call p ~fname [ Interp.Value.Num 5.0 ] with
+    | Ok v -> Interp.Value.to_string v
+    | Error e -> Alcotest.fail e
+  in
+  let original = load src in
+  let copy = Interp.Minijs.clone ~host original in
+  ignore (call copy "shadow");
+  Alcotest.(check string) "original len still a builtin" "3"
+    (call original "main");
+  Alcotest.(check string) "copy's len is 5" "5"
+    (match Interp.Minijs.parse_literal copy "len" with
+    | Ok v -> Interp.Value.to_string v
+    | Error e -> Alcotest.fail e);
+  let copy2 = Interp.Minijs.clone ~host original in
+  ignore (call original "shadow");
+  Alcotest.(check string) "earlier clone unaffected by original" "3"
+    (call copy2 "main")
+
+let test_clone_stored_builtin_reaches_clone_host () =
+  let log_to cell =
+    {
+      Interp.Builtins.null_host with
+      Interp.Builtins.log = (fun s -> cell := s :: !cell);
+    }
+  in
+  let template_log = ref [] and clone_log = ref [] in
+  let original =
+    match
+      Interp.Minijs.load ~host:(log_to template_log)
+        "let io = {out: print}; function main(a) { io.out(\"x\"); return 0; }"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let copy = Interp.Minijs.clone ~host:(log_to clone_log) original in
+  (match Interp.Minijs.run_main copy ~args_literal:"null" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "clone's host saw the call" [ "x" ] !clone_log;
+  Alcotest.(check (list string)) "template's host did not" [] !template_log
+
+let test_clone_preserves_closure_identity () =
+  (* [self] is first reached through [o], not through its own scope: the
+     copy must still be one closure, shared by [o.f] and [self]. *)
+  let src =
+    "let o = {}; function mk() { let self = function() { return self; }; o.f \
+     = self; return 0; } mk(); function main(a) { return o.f == o.f(); }"
+  in
+  let copy = Interp.Minijs.clone ~host (load src) in
+  match Interp.Minijs.run_main copy ~args_literal:"null" with
+  | Ok s -> Alcotest.(check string) "one closure after the copy" "true" s
+  | Error e -> Alcotest.fail e
+
+let test_clone_small_allocation () =
+  let template = load (first_source Workload.Fnset.Small) in
+  let clones = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to clones do
+    ignore (Sys.opaque_identity (Interp.Minijs.clone ~host template))
+  done;
+  let per_clone = (Gc.minor_words () -. w0) /. float_of_int clones in
+  if per_clone > 300.0 then
+    Alcotest.failf "a small-profile clone allocated %.0f minor words" per_clone
+
+(* Programs whose globals change from call to call. *)
+let stateful_sources =
+  [
+    "let total = 0; function main(a) { total = total + a; return total; }";
+    "function counter() { let n = 0; return function() { n = n + 1; return \
+     n; }; } let tick = counter(); function main(a) { return [tick(), a]; }";
+    "let store = {items: [], seen: {}}; function main(a) { push(store.items, \
+     a); store.seen[str(a)] = len(store.items); return store; }";
+    "let calls = 0; function main(a) { calls = calls + 1; if (calls == 2) { \
+     len = function(x) { return -1; }; } return len([a, a]); }";
+    "let cell = {f: null, n: 0}; cell.f = function() { cell.n = cell.n + 1; \
+     return cell.n; }; function main(a) { return cell.f() + a; }";
+    "let xs = [1]; let ys = {a: xs, b: [xs]}; function main(a) { push(xs, a); \
+     return [len(ys.b[0]), ys]; }";
+  ]
+
+let prop_seed = Option.fold ~none:37 ~some:Int64.to_int (Knobs.prop_seed ())
+
+(* Clone a template that has already served [pre] calls, then run the
+   same calls on the clone, on a fresh load that served [pre] too, and
+   on the template after the clone ran: all three print the same. *)
+let clone_runs_like_fresh_load =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneof
+           [
+             map Workload.Fnset.source (int_range 0 59);
+             oneofl stateful_sources;
+           ])
+        (list_size (int_range 0 2) (int_range 0 9))
+        (list_size (int_range 1 4) (int_range 0 9)))
+  in
+  let print (src, pre, post) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "pre [%s] post [%s] on\n%s" (ints pre) (ints post) src
+  in
+  QCheck.Test.make ~name:"runs like a fresh load" ~count:300
+    (QCheck.make ~print gen) (fun (src, pre, post) ->
+      let run p a =
+        match Interp.Minijs.run_main p ~args_literal:(string_of_int a) with
+        | Ok s -> s
+        | Error e -> "error: " ^ e
+      in
+      let template = load src and fresh = load src in
+      List.iter (fun a -> ignore (run template a); ignore (run fresh a)) pre;
+      let copy = Interp.Minijs.clone ~host template in
+      let from_copy = List.map (run copy) post in
+      let from_fresh = List.map (run fresh) post in
+      let from_template = List.map (run template) post in
+      from_copy = from_fresh && from_template = from_fresh)
 
 (* {1 Metering} *)
 
@@ -531,17 +662,10 @@ let random_bytes_compile =
 (* One representative source per import profile, plus the driver's
    warm-up script. *)
 let corpus =
-  let first p =
-    let rec go i =
-      if Workload.Fnset.profile_of_index i = p then Workload.Fnset.source i
-      else go (i + 1)
-    in
-    go 0
-  in
   [
-    first Workload.Fnset.Small;
-    first Workload.Fnset.Medium;
-    first Workload.Fnset.Large;
+    first_source Workload.Fnset.Small;
+    first_source Workload.Fnset.Medium;
+    first_source Workload.Fnset.Large;
     Unikernel.Driver.dummy_script;
   ]
 
@@ -617,6 +741,16 @@ let () =
           case "shares nothing mutable" test_clone_shares_nothing_mutable;
           case "rebinds host" test_clone_rebinds_host;
           case "handles cycles" test_clone_handles_cycles;
+          case "builtin names per instance"
+            test_clone_builtin_names_per_instance;
+          case "stored builtin reaches clone host"
+            test_clone_stored_builtin_reaches_clone_host;
+          case "preserves closure identity"
+            test_clone_preserves_closure_identity;
+          case "small-profile allocation" test_clone_small_allocation;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| prop_seed |])
+            clone_runs_like_fresh_load;
         ] );
       ( "cache",
         [

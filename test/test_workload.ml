@@ -225,7 +225,9 @@ let test_trace_roundtrip =
       in
       let jsonl = Workload.Trace.to_jsonl t in
       match Workload.Trace.of_jsonl jsonl with
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+      | Error e ->
+          QCheck.Test.fail_reportf "decode failed: %s"
+            (Workload.Trace.error_to_string e)
       | Ok t' ->
           Workload.Trace.equal t t'
           && String.equal jsonl (Workload.Trace.to_jsonl t'))
@@ -251,6 +253,150 @@ let test_trace_rejects_garbage () =
          \"horizon\":10,\"arrival\":\"poisson\",\"rate\":1,\"seed\":\"1\",\
          \"events\":2}\n{\"at\":0.5,\"fn\":0}\n" );
     ]
+
+let header ?(functions = "2") ?(alpha = "1") ?(horizon = "10")
+    ?(rate = "1") events =
+  Printf.sprintf
+    "{\"schema\":\"seuss-load-trace/1\",\"functions\":%s,\"alpha\":%s,\
+     \"horizon\":%s,\"arrival\":\"poisson\",\"rate\":%s,\"seed\":\"1\",\
+     \"events\":%d}\n"
+    functions alpha horizon rate (List.length events)
+  ^ String.concat ""
+      (List.map
+         (fun (at, fn) -> Printf.sprintf "{\"at\":%s,\"fn\":%d}\n" at fn)
+         events)
+
+(* Each value [Replay] could not replay faithfully is an [Error] that
+   names its field and, for an event, its index. *)
+let test_trace_rejects_unreplayable () =
+  let ok = [ ("0.5", 0); ("1", 1) ] in
+  List.iter
+    (fun (label, doc, field, event) ->
+      match Workload.Trace.of_jsonl doc with
+      | Ok _ -> Alcotest.failf "%s decoded" label
+      | Error e ->
+          Alcotest.(check string) (label ^ ": field") field
+            e.Workload.Trace.field;
+          Alcotest.(check (option int)) (label ^ ": event") event
+            e.Workload.Trace.event)
+    [
+      ("no functions", header ~functions:"0" [], "functions", None);
+      ("infinite alpha", header ~alpha:"1e999" ok, "alpha", None);
+      ("infinite rate", header ~rate:"-1e999" ok, "rate", None);
+      ("infinite horizon", header ~horizon:"1e999" ok, "horizon", None);
+      ("negative horizon", header ~horizon:"-1" [], "horizon", None);
+      ("negative at", header (ok @ [ ("-0.5", 0) ]), "at", Some 2);
+      ("infinite at", header [ ("1e999", 0) ], "at", Some 0);
+      ("out of order", header [ ("2", 0); ("1", 1) ], "at", Some 1);
+      ("at the horizon", header (ok @ [ ("10", 0) ]), "at", Some 2);
+      ("fn too large", header [ ("1", 2) ], "fn", Some 0);
+      ("event not JSON", header (ok @ [ ("x", 0) ]), "", Some 2);
+    ];
+  match Workload.Trace.of_jsonl (header ok) with
+  | Ok t ->
+      Alcotest.(check int) "a valid trace decodes" 2 (Array.length t.events)
+  | Error e -> Alcotest.fail (Workload.Trace.error_to_string e)
+
+(* What every decoded trace must satisfy for [Replay] to be faithful. *)
+let replayable (t : Workload.Trace.t) =
+  let finite_nonneg x = Float.is_finite x && x >= 0.0 in
+  let prev = ref 0.0 in
+  t.functions >= 1
+  && Float.is_finite t.alpha
+  && finite_nonneg t.horizon
+  && finite_nonneg t.rate
+  && Array.for_all
+       (fun (e : Workload.Trace.event) ->
+         let ok =
+           Float.is_finite e.at && e.at >= !prev && e.at < t.horizon
+           && e.fn >= 0 && e.fn < t.functions
+         in
+         prev := e.at;
+         ok)
+       t.events
+
+let decodes_safely doc =
+  match Workload.Trace.of_jsonl doc with
+  | Ok t -> replayable t
+  | Error _ -> true
+  | exception exn ->
+      QCheck.Test.fail_reportf "of_jsonl raised %s" (Printexc.to_string exn)
+
+let fuzz_rand () =
+  Random.State.make [| Int64.to_int base_seed |]
+
+let test_trace_fuzz_random_bytes =
+  QCheck.Test.make ~name:"random bytes decode safely" ~count:500
+    QCheck.(make ~print:Print.string Gen.(string_size (int_range 0 300)))
+    decodes_safely
+
+type edit =
+  | Truncate of int
+  | Set of int * char
+  | Digit of int * char  (** set the [k]-th digit of the document *)
+  | Delete of int * int
+
+let rec apply_edit doc = function
+  | _ when doc = "" -> doc
+  | Truncate at -> String.sub doc 0 (at mod String.length doc)
+  | Set (at, c) ->
+      let at = at mod String.length doc in
+      String.mapi (fun i x -> if i = at then c else x) doc
+  | Digit (k, c) -> (
+      let digits =
+        List.filter
+          (fun i -> doc.[i] >= '0' && doc.[i] <= '9')
+          (List.init (String.length doc) Fun.id)
+      in
+      match digits with
+      | [] -> doc
+      | _ ->
+          let at = List.nth digits (k mod List.length digits) in
+          apply_edit doc (Set (at, c)))
+  | Delete (at, len) ->
+      let n = String.length doc in
+      let at = at mod n in
+      let len = min len (n - at) in
+      String.sub doc 0 at ^ String.sub doc (at + len) (n - at - len)
+
+(* Small valid traces, then truncations and byte edits. Most edits hit
+   digits and write characters numbers are made of, so many mutants
+   still parse and reach the value checks: out-of-order, negative,
+   huge or past-the-horizon [at], and [fn] or [functions] out of range. *)
+let test_trace_fuzz_mutations =
+  let gen =
+    QCheck.Gen.(
+      let trace =
+        map3
+          (fun functions horizon seed ->
+            Workload.Trace.to_jsonl
+              (Workload.Trace.synthesize ~functions ~alpha:1.0
+                 ~arrival:(Workload.Arrival.poisson ~rate:2.0)
+                 ~horizon:(float_of_int horizon) ~seed:(Int64.of_int seed)))
+          (int_range 1 6) (int_range 0 8) (int_range 0 10_000)
+      in
+      let byte =
+        frequency
+          [
+            (1, char);
+            (3, oneofl (List.of_seq (String.to_seq "0123456789-.e+")));
+          ]
+      in
+      let pos = int_bound 0xFFFFF in
+      let edit =
+        frequency
+          [
+            (1, map (fun at -> Truncate at) pos);
+            (2, map2 (fun at c -> Set (at, c)) pos byte);
+            (6, map2 (fun k c -> Digit (k, c)) pos byte);
+            (2, map2 (fun at len -> Delete (at, len)) pos (int_range 1 6));
+          ]
+      in
+      map2 (List.fold_left apply_edit) trace (list_size (int_range 1 4) edit))
+  in
+  QCheck.Test.make ~name:"mutated traces decode safely" ~count:2000
+    (QCheck.make ~print:(fun s -> s) gen)
+    decodes_safely
 
 let test_trace_save_load () =
   let t = synth 9L in
@@ -422,6 +568,11 @@ let () =
           case "seed sensitivity" test_trace_seed_sensitivity;
           qcase test_trace_roundtrip;
           case "rejects garbage" test_trace_rejects_garbage;
+          case "rejects unreplayable values" test_trace_rejects_unreplayable;
+          QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
+            test_trace_fuzz_random_bytes;
+          QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
+            test_trace_fuzz_mutations;
           case "save/load" test_trace_save_load;
           case "arrivals independent of function set"
             test_trace_arrivals_independent_of_functions;
