@@ -56,9 +56,9 @@ type plan = {
   mutable history : record list; (* newest first *)
 }
 
-(* The plan rides in the engine's fault-plan slot via the universal-type
-   embedding, exactly like Trace contexts ride in the process-local slot. *)
-exception Plan_slot of plan
+(* The plan is an engine-owned extension, so injection sites anywhere in
+   the stack reach it without the engine depending on this library. *)
+let plan_key : plan Sim.Engine.key = Sim.Engine.key ()
 
 let validate_rate site r =
   if not (Float.is_finite r) || r < 0.0 || r > 1.0 then
@@ -75,18 +75,14 @@ let make ?seed ?(delay_spike = 0.02) ?(rates = []) engine =
   in
   { engine; rng; rates; delay_spike; partitions = []; history = [] }
 
-let install plan =
-  Sim.Engine.set_fault_plan plan.engine (Some (Plan_slot plan))
+let install plan = Sim.Engine.set plan.engine plan_key (Some plan)
 
-let uninstall engine = Sim.Engine.set_fault_plan engine None
+let uninstall engine = Sim.Engine.set engine plan_key None
 
 let current () =
   match Sim.Engine.self_opt () with
   | None -> None
-  | Some engine -> (
-      match Sim.Engine.fault_plan engine with
-      | Some (Plan_slot plan) -> Some plan
-      | Some _ | None -> None)
+  | Some engine -> Sim.Engine.find engine plan_key
 
 let rate plan site =
   Option.value (List.assoc_opt site plan.rates) ~default:0.0

@@ -65,8 +65,8 @@ val make :
     @raise Invalid_argument if any rate is outside [0,1]. *)
 
 val install : plan -> unit
-(** Park the plan in its engine's fault-plan slot, arming every
-    injection site run by that engine. *)
+(** Install the plan as its engine's extension (see
+    {!Sim.Engine.set}), arming every injection site run by that engine. *)
 
 val uninstall : Sim.Engine.t -> unit
 

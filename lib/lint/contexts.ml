@@ -1,9 +1,8 @@
 (* The audited atomic-context list for the seussdead pass.
 
    An "atomic context" is code the engine runs outside any effect
-   handler: heap comparators fire inside Heap.push/pop during event
-   dispatch, fault hooks fire under a page-table update, reporter
-   callbacks fire during quiescence analysis, and crash handlers fire
+   handler: fault hooks fire under a page-table update, quiescence hooks
+   and race reporters fire outside any process, and crash handlers fire
    while the process handler is unwinding. Performing Sleep/Suspend
    there is an unhandled effect — the simulation aborts — so no
    may-block call may be reachable from one.
@@ -31,10 +30,9 @@ type callback_arg =
    human description for reports) *)
 let registrars : (string * callback_arg * string) list =
   [
-    ("Heap.create", Label "cmp", "heap comparator");
     ("Addr_space.set_fault_hook", Positional 1, "memory fault hook");
     ("Hb.add_reporter", Positional 1, "race reporter");
-    ("Engine.add_deadlock_reporter", Positional 1, "deadlock reporter");
+    ("Engine.at_quiescence", Positional 1, "quiescence hook");
     ("Engine.spawn_supervised", Label "on_crash", "crash handler");
     ("Log.create", Label "clock", "log clock callback");
   ]

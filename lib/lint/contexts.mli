@@ -1,8 +1,8 @@
 (** The audited atomic-context list for the seussdead pass.
 
     Atomic contexts are callbacks the engine invokes outside any effect
-    handler (heap comparators, memory fault hooks, reporter callbacks,
-    crash handlers, log clocks): a [Sleep]/[Suspend] performed there is
+    handler (memory fault hooks, quiescence hooks, race reporters, crash
+    handlers, log clocks): a [Sleep]/[Suspend] performed there is
     an unhandled effect and aborts the simulation, so {!Deadlock}
     reports any may-block call reachable from one as
     [block-in-handler]. *)
@@ -18,7 +18,7 @@ val registrars : (string * callback_arg * string) list
 val registrar_of :
   suffix:string -> (string * callback_arg * string) option
 (** Look a call target up by its last two path components
-    (e.g. ["Heap.create"]). *)
+    (e.g. ["Engine.at_quiescence"]). *)
 
 val atomic : (string * string) list
 (** Audited (repo-relative file, top-level binding) pairs naming

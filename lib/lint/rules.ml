@@ -19,7 +19,7 @@ type id =
   | Frame_site  (** frame acquire/release outside the audited site list *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
-          reporter callback, heap comparator, crash handler) *)
+          quiescence hook, race reporter, crash handler) *)
   | Lock_order
       (** semaphore lock classes acquired in a cyclic order, or a
           [Semaphore.create] missing its [seussdead: lock] annotation *)
@@ -132,8 +132,8 @@ let describe = function
   | Block_in_handler ->
       "a call that may suspend the current process (Semaphore.acquire, \
        Channel.recv/send, Ivar.read, Engine.sleep, transitively) is \
-       reachable from an atomic context — a fault hook, reporter \
-       callback, heap comparator or crash handler that runs outside the \
+       reachable from an atomic context — a fault hook, quiescence \
+       hook, race reporter or crash handler that runs outside the \
        effect handler and cannot suspend"
   | Lock_order ->
       "semaphore lock classes (named with (* seussdead: lock <class> *) \

@@ -19,7 +19,7 @@ type id =
   | Frame_site  (** frame acquire/release outside the audited site list *)
   | Block_in_handler
       (** a may-block call reachable from an atomic context (fault hook,
-          reporter callback, heap comparator, crash handler) *)
+          quiescence hook, race reporter, crash handler) *)
   | Lock_order
       (** semaphore lock classes acquired in a cyclic order, or a
           [Semaphore.create] missing its [seussdead: lock] annotation *)

@@ -804,7 +804,7 @@ let census_clean c =
 let arm_census ?(name = "node") ?on_leak t =
   let engine = t.node_env.Osenv.engine in
   if Sim.Engine.own_armed engine then
-    Sim.Engine.add_census_hook engine (fun () ->
+    Sim.Engine.at_quiescence engine (fun () ->
         let c = census t in
         (* Emit only on a nonzero count: a healthy armed run's event
            stream stays byte-identical to an unarmed one (an

@@ -37,23 +37,25 @@ let create ?budget_bytes ?(cores = 16) ?log_capacity engine =
                first_pid = r.first_pid;
                second_pid = r.second_pid;
              }));
-  (* Same surfacing for the deadlock sanitizer: each stranded waiter the
-     engine finds at quiescence becomes a San_deadlock event on this
-     node's log. The reporter runs outside any process (the seussdead
-     static pass keeps it block-free). *)
+  (* Same surfacing for the deadlock sanitizer: at natural quiescence,
+     each stranded waiter becomes a San_deadlock event on this node's
+     log. The hook runs outside any process (the seussdead static pass
+     keeps it block-free). *)
   if Sim.Engine.deadlock_armed engine then
-    Sim.Engine.add_deadlock_reporter engine
-      (fun (s : Sim.Engine.stranded) ->
-        Obs.Log.emit log
-          (Obs.Event.San_deadlock
-             {
-               resource = s.resource;
-               proc = s.proc;
-               pid = s.pid;
-               spawned_at = s.spawned_at;
-               waiting_since = s.waiting_since;
-               in_cycle = s.in_cycle;
-             }));
+    Sim.Engine.at_quiescence engine (fun () ->
+        List.iter
+          (fun (s : Sim.Engine.stranded) ->
+            Obs.Log.emit log
+              (Obs.Event.San_deadlock
+                 {
+                   resource = s.resource;
+                   proc = s.proc;
+                   pid = s.pid;
+                   spawned_at = s.spawned_at;
+                   waiting_since = s.waiting_since;
+                   in_cycle = s.in_cycle;
+                 }))
+          (Sim.Engine.stranded_waiters engine));
   let metrics = Obs.Metrics.create () in
   (* Ring eviction is a visible metric, not silent truncation: every
      record the bounded ring drops bumps this counter, which tools like

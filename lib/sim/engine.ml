@@ -1,7 +1,14 @@
-type local = exn
+(* An extension key: a [Type.Id] witness plus the optional fork applied
+   to a process-local value at [spawn]. *)
+type 'a key = { id : 'a Type.Id.t; fork : ('a -> 'a) option }
+
+(* One installed value. A binding list is immutable, so a parked process
+   saves its values by holding the list, and [[]] means nothing is
+   installed. *)
+type binding = B : 'a key * 'a -> binding
 
 (* Identity of the currently-dispatching process, carried across
-   suspensions like the local slots. Daemons are processes expected to
+   suspensions like its locals. Daemons are processes expected to
    park forever (accept loops, refill loops): they are excluded from
    [stuck_waiters] and only reported by the deadlock detector when they
    sit on a wait cycle. *)
@@ -49,9 +56,9 @@ type t = {
      calls the GC write barrier. Payloads live in the arena columns
      indexed by [q_slot]: each slot is either a plain callback
      ([a_kind] 0: [a_thunk]) or a parked process continuation with its
-     saved process-local slots ([a_kind] 1:
-     [a_kont]/[a_local]/[a_san]/[a_proc]) — storing the continuation
-     and slots directly replaces the per-suspension closure the old
+     saved locals and identity ([a_kind] 1:
+     [a_kont]/[a_local]/[a_proc]) — storing the continuation and its
+     saved state directly replaces the per-suspension closure the old
      record-based queue allocated. A slot is written once at push and
      reset to the dummies at pop (so the arena retains nothing), with
      free slots kept on an integer stack. Nothing on this path
@@ -64,8 +71,7 @@ type t = {
   mutable a_kind : int array;
   mutable a_thunk : (unit -> unit) array;
   mutable a_kont : kont array;
-  mutable a_local : local option array;
-  mutable a_san : local option array;
+  mutable a_local : binding list array;
   mutable a_proc : pinfo option array;
   mutable free : int array;  (* free arena slots, as a stack *)
   mutable free_top : int;
@@ -89,29 +95,15 @@ type t = {
      allocate a fresh option per call (the dynamic zero-alloc test in
      test_sim measures an entire run). *)
   mutable self_some : t option;
-  (* The process-local slot of the currently-dispatching event: children
-     inherit it at [spawn], and it is saved/restored across Sleep and
-     Suspend so a process keeps its value over its whole lifetime. *)
-  mutable local : local option;
-  (* Optional fork hook for [local], mirroring [san_fork]: when
-     installed, a spawned child's initial slot is [fork parent_slot]
-     instead of the shared value — this is how trace contexts give each
-     process its own span stack while recording the spawn parent link. *)
-  mutable local_fork : (local option -> local option) option;
-  (* Second process-local slot, reserved for the happens-before
-     sanitizer ([Hb]): kept separate from [local] so arming the
-     sanitizer never competes with trace contexts for the one slot.
-     Unlike [local], inheritance at [spawn] goes through [san_fork] so
-     the sanitizer can fork (not share) per-process state. *)
-  mutable san_local : local option;
-  mutable san_fork : (local option -> local option) option;
-  (* Engine-owned sanitizer-state slot (same universal-type idiom as
-     [fault_plan]): [Hb] parks its per-engine checker state here. *)
-  mutable san_state : local option;
-  (* Engine-owned fault-plan slot (same universal-type idiom as [local]):
-     the faults library parks its plan here so injection sites anywhere in
-     the stack can find it without the engine depending on them. *)
-  mutable fault_plan : local option;
+  (* The locals of the currently-dispatching event: children inherit
+     them at [spawn] (forked per key), and they are saved/restored across
+     Sleep and Suspend so a process keeps them over its whole lifetime. *)
+  mutable locals : binding list;
+  (* Engine-owned extension values (the fault plan, the happens-before
+     checker's state): the engine carries them but never reads them. *)
+  mutable ext : binding list;
+  (* Quiescence hooks, in registration order. *)
+  mutable quiescence : (unit -> unit) list;
   (* Supervised processes that died, newest first. *)
   mutable crashed : (string * exn) list;
   (* Deadlock sanitizer. The wait counters are always on (integer
@@ -120,13 +112,10 @@ type t = {
      [waits] table and resource naming are populated only when
      [deadlock] is armed. *)
   deadlock : bool;
-  (* Ownership census: when armed, the registered census hooks run at
-     natural quiescence (after the stranded-waiter report) so each node
-     can count resources still held — leaked frames, snapshot refs,
-     pinned snapshots, undestroyed UCs. Off, nothing registers and the
-     run is byte-identical to a build without the hook. *)
+  (* Ownership census: when armed, each node registers a quiescence
+     hook that counts the resources it still holds. Off, nothing
+     registers and the run is byte-identical to a build without it. *)
   own : bool;
-  mutable census_hooks : (unit -> unit) list;
   mutable proc : pinfo option;
   mutable next_pid : int;
   mutable parked : int;  (* non-daemon processes currently suspended *)
@@ -134,7 +123,6 @@ type t = {
   waits : (int, waiter) Hashtbl.t;  (* wait token -> waiter, armed only *)
   mutable next_token : int;
   mutable next_resource : int;
-  mutable deadlock_reporters : (stranded -> unit) list;
 }
 
 exception Process_failure of string * exn
@@ -191,8 +179,7 @@ let create ?(seed = 1L) ?tie_seed ?deadlock ?own () =
       a_kind = Array.make initial_capacity 0;
       a_thunk = Array.make initial_capacity dummy_thunk;
       a_kont = Array.make initial_capacity dummy_kont;
-      a_local = Array.make initial_capacity None;
-      a_san = Array.make initial_capacity None;
+      a_local = Array.make initial_capacity [];
       a_proc = Array.make initial_capacity None;
       free = Array.init initial_capacity (fun i -> i);
       free_top = initial_capacity;
@@ -202,16 +189,12 @@ let create ?(seed = 1L) ?tie_seed ?deadlock ?own () =
       executed = 0;
       max_heap = 0;
       self_some = None;
-      local = None;
-      local_fork = None;
-      san_local = None;
-      san_fork = None;
-      san_state = None;
-      fault_plan = None;
+      locals = [];
+      ext = [];
+      quiescence = [];
       crashed = [];
       deadlock;
       own;
-      census_hooks = [];
       proc = None;
       next_pid = 0;
       parked = 0;
@@ -219,7 +202,6 @@ let create ?(seed = 1L) ?tie_seed ?deadlock ?own () =
       waits = Hashtbl.create 16;
       next_token = 0;
       next_resource = 0;
-      deadlock_reporters = [];
     }
   in
   t.self_some <- Some t;
@@ -314,14 +296,12 @@ let grow t =
   let kont = Array.make cap dummy_kont in
   Array.blit t.a_kont 0 kont 0 old;
   t.a_kont <- kont;
-  let copy_opt src =
-    let a = Array.make cap None in
-    Array.blit src 0 a 0 old;
-    a
-  in
-  t.a_local <- copy_opt t.a_local;
-  t.a_san <- copy_opt t.a_san;
-  t.a_proc <- copy_opt t.a_proc;
+  let local = Array.make cap [] in
+  Array.blit t.a_local 0 local 0 old;
+  t.a_local <- local;
+  let proc = Array.make cap None in
+  Array.blit t.a_proc 0 proc 0 old;
+  t.a_proc <- proc;
   (* Sized [cap] so the stack can absorb every slot as the queue drains. *)
   t.free <- Array.init cap (fun i -> if i < old then old + i else 0);
   t.free_top <- old
@@ -351,13 +331,12 @@ let schedule t ~delay thunk =
   (* Vacated slots are pre-cleared, so only the thunk column is set. *)
   t.a_thunk.(slot) <- thunk
 
-(* Park a process continuation with its saved process-local slots. *)
-let push_resume t ~delay k saved saved_san saved_proc =
+(* Park a process continuation with its saved locals and identity. *)
+let push_resume t ~delay k saved saved_proc =
   let slot = push_event t ~delay in
   t.a_kind.(slot) <- 1;
   t.a_kont.(slot) <- k;
   t.a_local.(slot) <- saved;
-  t.a_san.(slot) <- saved_san;
   t.a_proc.(slot) <- saved_proc
 
 (* The engine currently dispatching an event; the simulator is
@@ -371,19 +350,54 @@ let self () =
 
 let self_opt () = !current
 
-let get_local t = t.local
-let set_local t v = t.local <- v
-let set_local_fork t f = t.local_fork <- f
+(* {1 Extensions} *)
 
-let get_san_local t = t.san_local
-let set_san_local t v = t.san_local <- v
-let set_san_fork t f = t.san_fork <- f
+let key ?fork () = { id = Type.Id.make (); fork }
 
-let san_state t = t.san_state
-let set_san_state t v = t.san_state <- v
+(* Top-level recursion over a locally abstract type, not a local closure
+   over [k]: a miss (the disarmed case) allocates nothing, a hit only
+   its [Some]. *)
+let rec lookup : type a. a key -> binding list -> a option =
+ fun k -> function
+  | [] -> None
+  | B (k', v) :: rest -> (
+      match Type.Id.provably_equal k.id k'.id with
+      | Some Type.Equal -> Some v
+      | None -> lookup k rest)
 
-let fault_plan t = t.fault_plan
-let set_fault_plan t v = t.fault_plan <- v
+let rec remove : type a. a key -> binding list -> binding list =
+ fun k -> function
+  | [] -> []
+  | (B (k', _) as b) :: rest -> (
+      match Type.Id.provably_equal k.id k'.id with
+      | Some Type.Equal -> rest
+      | None -> b :: remove k rest)
+
+let rebind k v l =
+  let l = remove k l in
+  match v with None -> l | Some v -> B (k, v) :: l
+
+let find t k = lookup k t.ext
+let set t k v = t.ext <- rebind k v t.ext
+let find_local t k = lookup k t.locals
+let set_local t k v = t.locals <- rebind k v t.locals
+
+(* A spawned child's locals: each binding whose key forks is forked,
+   the rest shared. Computed at [spawn] time, so the child is ordered
+   after everything its parent did before the spawn; mapping [[]]
+   allocates nothing. *)
+let fork_binding (B (k, v) as b) =
+  match k.fork with None -> b | Some f -> B (k, f v)
+
+(* Registration is set-up work, so appending keeps the list in
+   registration order for the walk at quiescence. *)
+let at_quiescence t f = t.quiescence <- t.quiescence @ [ f ]
+
+let rec run_hooks = function
+  | [] -> ()
+  | f :: rest ->
+      f ();
+      run_hooks rest
 
 let failures t = List.rev t.crashed
 
@@ -392,15 +406,7 @@ let failures t = List.rev t.crashed
 let deadlock_armed t = t.deadlock
 let stuck_waiters t = t.parked
 let current_pid t = match t.proc with Some p -> p.p_id | None -> 0
-
-let add_deadlock_reporter t f =
-  t.deadlock_reporters <- f :: t.deadlock_reporters
-
-(* {1 Ownership census} *)
-
 let own_armed t = t.own
-
-let add_census_hook t f = t.census_hooks <- f :: t.census_hooks
 
 let fresh_resource t kind =
   t.next_resource <- t.next_resource + 1;
@@ -519,15 +525,14 @@ let exec ?supervise ?(daemon = false) t name f =
           | Sleep delay ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  (* The handler runs at suspension time, so the engine
-                     slots still belong to the parking process: park them
+                  (* The handler runs at suspension time, so the engine's
+                     locals still belong to the parking process: park them
                      with the continuation, no closure needed. *)
-                  push_resume t ~delay k t.local t.san_local t.proc)
+                  push_resume t ~delay k t.locals t.proc)
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let saved = t.local in
-                  let saved_san = t.san_local in
+                  let saved = t.locals in
                   let saved_proc = t.proc in
                   let resumed = ref false in
                   let resume () =
@@ -535,65 +540,34 @@ let exec ?supervise ?(daemon = false) t name f =
                       invalid_arg "Engine: process resumed twice"
                     else begin
                       resumed := true;
-                      push_resume t ~delay:0.0 k saved saved_san saved_proc
+                      push_resume t ~delay:0.0 k saved saved_proc
                     end
                   in
                   register resume)
           | _ -> None);
     }
 
-(* The sanitizer slot a child starts with: forked from the spawner's via
-   [san_fork] when the happens-before checker is armed, shared otherwise
-   (in which case it is [None] anyway — nothing installs the slot but the
-   checker). Computed at [spawn] time, so the child is ordered after
-   everything its parent did before the spawn and concurrent with the
-   rest. *)
-let child_san t =
-  match t.san_fork with None -> t.san_local | Some fork -> fork t.san_local
-
-(* Same shape for the primary slot: forked when a hook is installed
-   (trace contexts), shared verbatim otherwise. *)
-let child_local t =
-  match t.local_fork with None -> t.local | Some fork -> fork t.local
-
 let spawn t ?(name = "process") ?(daemon = false) f =
-  (* Children inherit the spawner's local slot (e.g. its trace
-     context), so work fanned out by an invocation records into the
-     invocation's own trace. *)
-  let inherited = child_local t in
-  let inherited_san = child_san t in
+  (* Children inherit the spawner's locals (e.g. its trace context), so
+     work fanned out by an invocation records into the invocation's own
+     trace. *)
+  let inherited = List.map fork_binding t.locals in
   schedule t ~delay:0.0 (fun () ->
-      t.local <- inherited;
-      t.san_local <- inherited_san;
+      t.locals <- inherited;
       exec ~daemon t name f)
 
 let spawn_supervised t ?(name = "process") ?(daemon = false)
     ?(on_crash = fun _ _ -> ()) f =
-  let inherited = child_local t in
-  let inherited_san = child_san t in
+  let inherited = List.map fork_binding t.locals in
   schedule t ~delay:0.0 (fun () ->
-      t.local <- inherited;
-      t.san_local <- inherited_san;
+      t.locals <- inherited;
       exec ~supervise:on_crash ~daemon t name f)
 
 let restore_idle t =
   t.running <- false;
-  t.local <- None;
-  t.san_local <- None;
+  t.locals <- [];
   t.proc <- None;
   current := None
-
-(* seussheat: cold — runs once per drained armed run, off the dispatch path.
-   An empty wait table returns before building the closure, so natural
-   quiescence with nothing parked allocates nothing. *)
-let report_stranded t =
-  if Hashtbl.length t.waits > 0 then
-    List.iter
-      (fun s -> List.iter (fun f -> f s) (List.rev t.deadlock_reporters))
-      (stranded_waiters t)
-
-(* seussheat: cold — runs once per drained armed run, off the dispatch path *)
-let run_census t = List.iter (fun f -> f ()) (List.rev t.census_hooks)
 
 (* The dispatch loop, as a tail-recursive drain so an unarmed run
    allocates nothing at all: no option per peek/pop (slot columns are
@@ -625,7 +599,6 @@ let rec dispatch_loop t limit =
       let thunk = t.a_thunk.(slot) in
       let k = t.a_kont.(slot) in
       let l = t.a_local.(slot) in
-      let s = t.a_san.(slot) in
       let p = t.a_proc.(slot) in
       (* Reset only the columns this event used: callbacks never touch
          the continuation columns and vice versa. *)
@@ -633,18 +606,16 @@ let rec dispatch_loop t limit =
       else begin
         t.a_kind.(slot) <- 0;
         t.a_kont.(slot) <- dummy_kont;
-        t.a_local.(slot) <- None;
-        t.a_san.(slot) <- None;
+        t.a_local.(slot) <- [];
         t.a_proc.(slot) <- None
       end;
       t.free.(t.free_top) <- slot;
       t.free_top <- t.free_top + 1;
       t.clk.t_now <- time;
       t.executed <- t.executed + 1;
-      (* Each event starts with its own slots: a plain callback with
-         clean ones, a resumed process with the values it parked. *)
-      t.local <- l;
-      t.san_local <- s;
+      (* Each event starts with its own locals: a plain callback with
+         none, a resumed process with the ones it parked. *)
+      t.locals <- l;
       t.proc <- p;
       if kind = 0 then thunk () else Effect.Deep.continue k ();
       dispatch_loop t limit
@@ -660,10 +631,8 @@ let run ?until t =
   | drained ->
       if not drained then t.clk.t_now <- limit;
       (* Natural quiescence (the queue drained, not an [until] cut):
-         anything still parked can never be woken — walk the wait-for
-         graph and hand each stranded waiter to the reporters. *)
-      if drained && t.deadlock then report_stranded t;
-      if drained && t.own then run_census t;
+         nothing can run again, so the hooks see the final state. *)
+      if drained then run_hooks t.quiescence;
       restore_idle t
   | exception exn ->
       restore_idle t;

@@ -22,22 +22,18 @@ val create :
     randomness.
 
     [deadlock] arms the deadlock sanitizer: blocking primitives register
-    their parked waiters with the engine, and at natural quiescence the
-    wait-for graph is walked — every stranded waiter (and every daemon
-    on a wait cycle) is handed to the {!add_deadlock_reporter}
-    callbacks. When [deadlock] is absent, {!Knobs.deadlock}
-    ([SEUSS_DEADLOCK]) supplies it. An armed engine whose run strands
-    nobody makes no extra PRNG draws, schedules nothing extra, and
-    prints nothing, so its outputs stay byte-identical to an unarmed
-    run.
+    their parked waiters with the engine, so {!stranded_waiters} can
+    walk the wait-for graph at natural quiescence. When [deadlock] is
+    absent, {!Knobs.deadlock} ([SEUSS_DEADLOCK]) supplies it. An armed
+    engine whose run strands nobody makes no extra PRNG draws, schedules
+    nothing extra, and prints nothing, so its outputs stay
+    byte-identical to an unarmed run.
 
-    [own] arms the ownership census: callbacks registered with
-    {!add_census_hook} run once at natural quiescence (after the
-    stranded-waiter report) so each node can count resources still held
-    — leaked frames, snapshot references, pinned snapshots, undestroyed
+    [own] arms the ownership census: each node registers an
+    {!at_quiescence} hook that counts the resources it still holds —
+    leaked frames, snapshot references, pinned snapshots, undestroyed
     UCs. When [own] is absent, {!Knobs.own} ([SEUSS_OWN]) supplies it.
-    Unarmed, nothing registers and outputs stay byte-identical to a
-    build without the hook.
+    Unarmed, nothing registers and outputs stay byte-identical.
 
     [tie_seed] arms the schedule sanitizer's tie shuffler: events at
     equal timestamps fire in a seeded-random order instead of FIFO
@@ -106,8 +102,8 @@ val pending : t -> int
 (** {1 Engine self-profiling}
 
     Always-on counters, maintained with integer compares only: no
-    allocation, no PRNG draws, no schedule effect. They feed the
-    committed [BENCH_engine.json] baseline. *)
+    allocation, no PRNG draws, no schedule effect. [seussbench] reads
+    them for its [engine.*] rows. *)
 
 type perf = {
   dispatched : int;  (** events fired (heap pops) — {!events_executed} *)
@@ -131,77 +127,50 @@ val self_opt : unit -> t option
 (** [self ()] without the exception — [None] outside of a run, so
     always-on instrumentation can degrade to a no-op. *)
 
-(** {1 Process-local storage}
+(** {1 Extensions}
 
-    One universal slot per process. A value set while a process runs is
-    preserved across {!sleep} / {!suspend} and inherited by processes it
-    {!spawn}s; callbacks registered with plain {!schedule} start with an
-    empty slot. This is the substrate for per-process trace contexts
-    ({!Trace}): two in-flight operations each carry their own context
-    instead of sharing an engine-global one. *)
+    The one way a library attaches state to the engine without the
+    engine depending on it. A typed {!key} names a value; the engine
+    carries values but never reads them.
 
-type local = exn
-(** The slot is untyped; clients embed their state with an extensible
-    [exception] constructor (the standard universal-type idiom), which
-    keeps the engine independent of what it carries. *)
+    - {b Engine-owned} values ({!find} / {!set}) live as long as the
+      engine: the fault plan, the happens-before checker's state.
+    - {b Process-local} values ({!find_local} / {!set_local}) belong to
+      the currently-dispatching process. They are preserved across
+      {!sleep} / {!suspend} and inherited by the processes it
+      {!spawn}s: a key made with [fork] gives the child [fork v],
+      computed at [spawn] time, and any other key shares [v]. Callbacks
+      registered with plain {!schedule} start with none. Trace contexts
+      and the checker's vector clocks ride here.
+    - {b Quiescence hooks} ({!at_quiescence}) run once each, in
+      registration order, when {!run} drains its queue — never on an
+      [until] cut. They run outside any process, so they must not block
+      (the [seussdead] static pass enforces this).
 
-val get_local : t -> local option
-(** The slot of the currently-dispatching process. *)
+    A lookup of a key with nothing installed allocates nothing; a hit
+    allocates only its [Some]. With no process-local values, {!spawn}
+    and dispatch allocate nothing for them. *)
 
-val set_local : t -> local option -> unit
-(** Overwrite the current process's slot (takes effect for the rest of
-    this process's lifetime, including after suspensions). *)
+type 'a key
 
-val set_local_fork : t -> (local option -> local option) option -> unit
-(** Install a fork hook for the primary slot, mirroring
-    {!set_san_fork}: when present, a spawned child's initial slot is
-    [fork parent_slot], computed at [spawn] time. {!Trace} uses this to
-    give every process its own span stack while capturing the parent
-    span open at the spawn — the cross-process causal link. [None]
-    (default) shares the parent's value verbatim. *)
+val key : ?fork:('a -> 'a) -> unit -> 'a key
+(** A fresh key, distinct from every other. [fork] matters only for
+    process-local values. *)
 
-(** {1 Sanitizer process slot}
+val find : t -> 'a key -> 'a option
 
-    A second process-local slot, reserved for the happens-before
-    sanitizer ({!Hb}) so it never competes with trace contexts for
-    {!get_local}. It behaves like the primary slot (preserved across
-    {!sleep}/{!suspend}, cleared for plain {!schedule} callbacks) except
-    at {!spawn}: if a fork hook is installed the child's initial slot is
-    [fork parent_slot] — computed when [spawn] is called — letting the
-    sanitizer give every process its own identity while recording the
-    spawn ordering edge. *)
+val set : t -> 'a key -> 'a option -> unit
+(** Install ([Some v]) or remove ([None]) the engine's value for a key. *)
 
-val get_san_local : t -> local option
+val find_local : t -> 'a key -> 'a option
+(** The currently-dispatching process's value for a key. *)
 
-val set_san_local : t -> local option -> unit
+val set_local : t -> 'a key -> 'a option -> unit
+(** Install or remove the current process's value for a key, for the
+    rest of its lifetime, including after suspensions. *)
 
-val set_san_fork : t -> (local option -> local option) option -> unit
-
-(** {1 Sanitizer engine slot}
-
-    Engine-owned slot for the happens-before checker's per-engine state,
-    using the same universal-type embedding as {!fault_plan}. Empty by
-    default; an engine with no checker installed makes no extra PRNG
-    draws and schedules nothing extra, so its event stream is
-    bit-identical to an unsanitized build. *)
-
-val san_state : t -> local option
-
-val set_san_state : t -> local option -> unit
-
-(** {1 Fault-plan slot}
-
-    One engine-owned slot for the fault-injection plan (see the [faults]
-    library), using the same universal-type embedding as {!local}. The
-    engine never interprets the value; it only carries it so injection
-    sites across the stack can reach the plan of the running simulation
-    without a dependency cycle. Empty by default: a simulation with no
-    installed plan makes no PRNG draws for fault decisions, so its event
-    stream is bit-identical to a build without the fault plane. *)
-
-val fault_plan : t -> local option
-
-val set_fault_plan : t -> local option -> unit
+val at_quiescence : t -> (unit -> unit) -> unit
+(** Register a hook for natural quiescence. *)
 
 val sleep : float -> unit
 (** Suspend the current process for a simulated duration (>= 0). *)
@@ -222,10 +191,11 @@ val suspend : ((unit -> unit) -> unit) -> unit
     the engine counts parked processes always (so {!stuck_waiters} is
     meaningful even with the detector off) and, when armed
     ([?deadlock] at {!create} or [SEUSS_DEADLOCK=1]), keeps a wait
-    table it walks at natural quiescence: a run that ends with parked
+    table that {!stranded_waiters} walks: a run that ends with parked
     non-daemon processes — or daemons on a wait cycle — leaked them,
     whether by lost wakeup (a forgotten [Ivar.fill]) or by genuine
-    deadlock (a lock cycle). *)
+    deadlock (a lock cycle). Each node reports them from an
+    {!at_quiescence} hook. *)
 
 val deadlock_armed : t -> bool
 
@@ -250,27 +220,8 @@ val stranded_waiters : t -> stranded list
     non-daemon waiter plus every daemon on a wait-for cycle. [[]] when
     the detector is unarmed (use {!stuck_waiters} for the raw count). *)
 
-val add_deadlock_reporter : t -> (stranded -> unit) -> unit
-(** Register a callback invoked once per stranded waiter when {!run}
-    reaches natural quiescence with the detector armed. Reporters run
-    outside any process — they must not block (the [seussdead] static
-    pass enforces this). *)
-
-(** {1 Ownership census}
-
-    The dynamic half of the [seussown] static pass: with the census
-    armed ([?own] at {!create} or [SEUSS_OWN=1]), hooks registered via
-    {!add_census_hook} run once when {!run} reaches natural quiescence,
-    after the stranded-waiter report. Each node registers a hook that
-    counts the resources still held beyond its caches — the runtime
-    ground truth for the statically-proven acquire/release pairing. *)
-
 val own_armed : t -> bool
-
-val add_census_hook : t -> (unit -> unit) -> unit
-(** Register a quiescence census hook (registration order preserved).
-    Hooks run outside any process — they must not block. Never invoked
-    when the census is unarmed. *)
+(** Whether the ownership census is armed (see {!create}). *)
 
 val current_pid : t -> int
 (** Pid of the currently-dispatching process, [0] outside one. *)

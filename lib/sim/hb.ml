@@ -45,10 +45,6 @@ let vc_set vc pid n =
   in
   go vc
 
-type pstate = { pid : int; mutable vc : vc }
-
-exception Pstate_slot of pstate
-
 type kind = Write_write | Read_write
 
 let kind_name = function
@@ -70,12 +66,9 @@ type state = {
   mutable reporters : (race -> unit) list; (* registration order *)
 }
 
-exception State_slot of state
+let state_key : state Engine.key = Engine.key ()
 
-let state_of engine =
-  match Engine.san_state engine with
-  | Some (State_slot st) -> Some st
-  | Some _ | None -> None
+let state_of engine = Engine.find engine state_key
 
 let enabled engine = Option.is_some (state_of engine)
 
@@ -83,17 +76,32 @@ let fresh_pid st =
   st.next_pid <- st.next_pid + 1;
   st.next_pid
 
+(* A process's identity and clock. It carries the checker state so the
+   spawn fork can mint the child's pid. *)
+type pstate = { st : state; pid : int; mutable vc : vc }
+
+(* Spawn edge: the child is ordered after the parent's history at the
+   spawn point; bumping the parent's own component afterwards keeps the
+   parent's *later* accesses concurrent with the child. *)
+let fork parent =
+  let pid = fresh_pid parent.st in
+  let vc = parent.vc in
+  parent.vc <- vc_set parent.vc parent.pid (vc_get parent.vc parent.pid + 1);
+  { st = parent.st; pid; vc = vc_set vc pid 1 }
+
+let pstate_key = Engine.key ~fork ()
+
 (* The calling process's sanitizer state, created on first use: a
    process that was never forked from an instrumented parent still gets
    its own identity, just with no ordering edges behind it. *)
 let pstate st =
   let engine = st.engine in
-  match Engine.get_san_local engine with
-  | Some (Pstate_slot p) -> p
-  | _ ->
+  match Engine.find_local engine pstate_key with
+  | Some p -> p
+  | None ->
       let pid = fresh_pid st in
-      let p = { pid; vc = [ (pid, 1) ] } in
-      Engine.set_san_local engine (Some (Pstate_slot p));
+      let p = { st; pid; vc = [ (pid, 1) ] } in
+      Engine.set_local engine pstate_key (Some p);
       p
 
 let enable engine =
@@ -101,26 +109,7 @@ let enable engine =
   | Some st -> st
   | None ->
       let st = { engine; next_pid = 0; races = []; reporters = [] } in
-      Engine.set_san_state engine (Some (State_slot st));
-      (* Spawn edge: the child is ordered after the parent's history at
-         the spawn point; bumping the parent's own component afterwards
-         keeps the parent's *later* accesses concurrent with the child. *)
-      Engine.set_san_fork engine
-        (Some
-           (fun parent_slot ->
-             let child_pid = fresh_pid st in
-             let inherited =
-               match parent_slot with
-               | Some (Pstate_slot parent) ->
-                   let vc = parent.vc in
-                   parent.vc <-
-                     vc_set parent.vc parent.pid (vc_get parent.vc parent.pid + 1);
-                   vc
-               | _ -> []
-             in
-             Some
-               (Pstate_slot
-                  { pid = child_pid; vc = vc_set inherited child_pid 1 })));
+      Engine.set engine state_key (Some st);
       st
 
 let add_reporter engine f =
@@ -143,24 +132,25 @@ type sync = { mutable svc : vc }
 let make_sync () = { svc = [] }
 
 (* Hooks are ambient: they find the running engine (if any) and its
-   checker state (if armed), and otherwise cost two reads and a match. *)
-let with_state f =
-  match Engine.self_opt () with
-  | None -> ()
-  | Some engine -> ( match state_of engine with None -> () | Some st -> f st)
+   checker state (if armed). Dormant, that is two reads and a miss, and
+   allocates nothing. *)
+let armed () =
+  match Engine.self_opt () with None -> None | Some engine -> state_of engine
 
 let signal sync =
-  with_state (fun st ->
+  match armed () with
+  | None -> ()
+  | Some st ->
       let p = pstate st in
       sync.svc <- vc_join sync.svc p.vc;
-      p.vc <- vc_set p.vc p.pid (vc_get p.vc p.pid + 1))
+      p.vc <- vc_set p.vc p.pid (vc_get p.vc p.pid + 1)
 
 let observe sync =
-  with_state (fun st ->
-      if sync.svc <> [] then begin
-        let p = pstate st in
-        p.vc <- vc_join p.vc sync.svc
-      end)
+  match armed () with
+  | Some st when sync.svc <> [] ->
+      let p = pstate st in
+      p.vc <- vc_join p.vc sync.svc
+  | _ -> ()
 
 (* {1 Registered shared cells} *)
 
@@ -181,7 +171,9 @@ let report st race =
   List.iter (fun f -> f race) st.reporters
 
 let access c ~write =
-  with_state (fun st ->
+  match armed () with
+  | None -> ()
+  | Some st ->
       let engine = st.engine in
       let now = Engine.now engine in
       if now > c.atime then begin
@@ -215,7 +207,7 @@ let access c ~write =
                   })
           c.accs;
         c.accs <- { pid = p.pid; write; own } :: c.accs
-      end)
+      end
 
 let read c = access c ~write:false
 let write c = access c ~write:true

@@ -26,26 +26,10 @@ type ctx = {
   inherit_depth : int;
 }
 
-(* Embed the context in the engine's universal process-local slot. *)
-exception Ctx of ctx
-
 (* Legacy engine-global trace: records from every process that carries
    no local context. Its single shared stack is only meaningful when one
    logical operation runs at a time. *)
 let ambient : ctx option ref = ref None
-
-let current () =
-  let local =
-    match Engine.self_opt () with
-    | None -> None
-    | Some engine -> (
-        match Engine.get_local engine with
-        | Some (Ctx c) when c.tr.active -> Some c
-        | _ -> None)
-  in
-  match local with
-  | Some _ -> local
-  | None -> ( match !ambient with Some c when c.tr.active -> Some c | _ -> None)
 
 (* seussheat: cold — the option is retained as the child's inherited parent link *)
 let parent_of c =
@@ -53,31 +37,40 @@ let parent_of c =
 
 let depth_of c = c.inherit_depth + List.length c.stack
 
-(* The spawn hook: a child gets a fresh stack over the same sink, with
-   the spawner's innermost open span as its inherited parent. Installed
-   engine-wide by [start_ctx]; the identity on non-trace slot values. *)
-let fork slot =
-  match slot with
-  | Some (Ctx c) when c.tr.active ->
-      (* seussheat: cold — the forked context is the product: one per spawn, retained by the child *)
-      Some
-        (Ctx
-           {
-             tr = c.tr;
-             stack = [];
-             inherit_parent = parent_of c;
-             inherit_depth = depth_of c;
-           })
-  | other -> other
+(* The spawn fork: a child gets a fresh stack over the same sink, with
+   the spawner's innermost open span as its inherited parent. A stopped
+   trace is shared as is. *)
+let fork c =
+  if c.tr.active then
+    (* seussheat: cold — the forked context is the product: one per spawn, retained by the child *)
+    {
+      tr = c.tr;
+      stack = [];
+      inherit_parent = parent_of c;
+      inherit_depth = depth_of c;
+    }
+  else c
+
+(* The context rides in the current process's locals. *)
+let ctx_key = Engine.key ~fork ()
+
+let current () =
+  let local =
+    match Engine.self_opt () with
+    | None -> None
+    | Some engine -> Engine.find_local engine ctx_key
+  in
+  match local with
+  | Some c when c.tr.active -> local
+  | _ -> ( match !ambient with Some c when c.tr.active -> Some c | _ -> None)
 
 let make_trace engine =
   { engine; rev_spans = []; next_id = 0; active = true }
 
 let start_ctx engine =
   let tr = make_trace engine in
-  Engine.set_local_fork engine (Some fork);
-  Engine.set_local engine
-    (Some (Ctx { tr; stack = []; inherit_parent = None; inherit_depth = 0 }));
+  Engine.set_local engine ctx_key
+    (Some { tr; stack = []; inherit_parent = None; inherit_depth = 0 });
   tr
 
 let sorted_spans t =
@@ -96,9 +89,9 @@ let stop_ctx t =
   t.active <- false;
   (match Engine.self_opt () with
   | Some engine -> (
-      match Engine.get_local engine with
+      match Engine.find_local engine ctx_key with
       (* seusslint: allow physical-eq — only this exact context may uninstall itself *)
-      | Some (Ctx c) when c.tr == t -> Engine.set_local engine None
+      | Some c when c.tr == t -> Engine.set_local engine ctx_key None
       | _ -> ())
   | None -> ());
   sorted_spans t

@@ -7,13 +7,13 @@
     simulated pid that recorded it, so a trace is an exportable causal
     tree (see [Obs.Chrome] for the Chrome trace-event encoding), not
     just a waterfall. Parent links cross process boundaries: a context
-    installs an [Engine] fork hook, so a child spawned under an open
-    span starts with that span as its inherited parent.
+    is a forking {!Engine.key}, so a child spawned under an open span
+    starts with that span as its inherited parent.
 
     Traces come in two flavours:
 
     - {b process-local contexts} ({!start_ctx} / {!stop_ctx}): the
-      context rides in the current process's {!Engine} local slot, is
+      context rides in the current process's {!Engine} locals, is
       preserved across suspensions and forked for spawned children —
       each process gets its own open-span stack over the shared span
       sink, so two in-flight invocations record disjoint span trees,
@@ -51,7 +51,7 @@ val start_ctx : Engine.t -> t
 
 val stop_ctx : t -> span list
 (** Deactivate and return the spans in start order. Uninstalls the
-    context from the calling process's slot if it is still the one
+    context from the calling process if it is still the one
     installed. *)
 
 (** {1 Legacy engine-global trace (shim)} *)

@@ -7,8 +7,9 @@ let lock = Sim.Semaphore.create 1 (* seussdead: lock fixture.handler *)
 let slow_compare a b =
   Sim.Semaphore.with_permit lock (fun () -> compare a b)
 
-(* A comparator runs inside Heap.create's handler — must not block. *)
-let heap () = Sim.Heap.create ~cmp:slow_compare ()
+(* A quiescence hook runs outside any process — must not block. *)
+let census engine =
+  Sim.Engine.at_quiescence engine (fun () -> ignore (slow_compare 1 2))
 
 (* A fault hook literal that sleeps — blocks directly. *)
 let hook space =

@@ -21,7 +21,10 @@ let abba () =
   let engine = Sim.Engine.create ~seed:3L ~deadlock:true () in
   let a = Sim.Semaphore.create 1 and b = Sim.Semaphore.create 1 in
   let reported = ref [] in
-  Sim.Engine.add_deadlock_reporter engine (fun s -> reported := s :: !reported);
+  Sim.Engine.at_quiescence engine (fun () ->
+      List.iter
+        (fun s -> reported := s :: !reported)
+        (Sim.Engine.stranded_waiters engine));
   Sim.Engine.spawn engine ~name:"forward" (fun () ->
       Sim.Semaphore.acquire a;
       Sim.Engine.sleep 1.0;

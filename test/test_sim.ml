@@ -8,35 +8,6 @@ let run_sim f =
   Sim.Engine.run engine;
   engine
 
-(* {1 Heap} *)
-
-let test_heap_ordering () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.push h) [ 5; 3; 9; 1; 7; 3; 0 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 3; 3; 5; 7; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "peek" None (Sim.Heap.peek h)
-
-let heap_sorts_like_list =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
 (* {1 Prng} *)
 
 let test_prng_deterministic () =
@@ -653,6 +624,153 @@ let test_engine_zero_alloc_dispatch () =
     (Printf.sprintf "minor words allocated across %d dispatches" (measured + 1))
     0.0 (w1 -. w0)
 
+(* The same contract for processes: with nothing installed, spawning,
+   parking and resuming carry the empty locals without allocating, and
+   looking a key up (as Trace, Hb and Fault do on every span, semaphore
+   and injection site) allocates nothing. A chain of processes that each
+   look both kinds of key up, sleep and spawn the next must allocate
+   exactly what the same chain without the lookups does. Both engines
+   are armed for deadlock and census with no hook registered, so the
+   drained runs also show that quiescence with no hooks does nothing. *)
+let test_engine_zero_alloc_disarmed_processes () =
+  let key : int Sim.Engine.key = Sim.Engine.key ~fork:succ () in
+  let chain ~lookups n =
+    let engine = Sim.Engine.create ~seed:1L ~deadlock:true ~own:true () in
+    let rec step k () =
+      if lookups then begin
+        ignore (Sim.Engine.find_local engine key);
+        ignore (Sim.Engine.find engine key)
+      end;
+      Sim.Engine.sleep 1.0;
+      if k > 0 then Sim.Engine.spawn engine (step (k - 1))
+    in
+    Sim.Engine.spawn engine (step n);
+    let w0 = Gc.minor_words () in
+    Sim.Engine.run engine;
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, Sim.Engine.events_executed engine)
+  in
+  ignore (chain ~lookups:true 100);
+  let bare, events = chain ~lookups:false 2_000 in
+  let probed, events' = chain ~lookups:true 2_000 in
+  Alcotest.(check int) "same events" events events';
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "extension minor words across %d events" events)
+    0.0
+    ((probed -. bare) /. float_of_int events)
+
+(* {1 Extensions} *)
+
+(* Two process-local keys sit side by side, and a spawned child forks
+   each one through its own key's [fork]. *)
+let test_ext_local_keys_coexist () =
+  let count : int Sim.Engine.key = Sim.Engine.key ~fork:succ () in
+  let label : string Sim.Engine.key = Sim.Engine.key () in
+  let seen = ref [] in
+  ignore
+    (run_sim (fun engine ->
+         Sim.Engine.spawn engine (fun () ->
+             Sim.Engine.set_local engine count (Some 1);
+             Sim.Engine.set_local engine label (Some "root");
+             Sim.Engine.set_local engine count (Some 2);
+             Sim.Engine.spawn engine (fun () ->
+                 seen :=
+                   ( Sim.Engine.find_local engine count,
+                     Sim.Engine.find_local engine label )
+                   :: !seen);
+             seen :=
+               ( Sim.Engine.find_local engine count,
+                 Sim.Engine.find_local engine label )
+               :: !seen)));
+  Alcotest.(check (list (pair (option int) (option string))))
+    "child forks [count] and shares [label]; the parent keeps its own"
+    [ (Some 3, Some "root"); (Some 2, Some "root") ]
+    !seen
+
+(* Trace contexts and the happens-before checker ride the same locals:
+   a child spawned under an open span inherits its trace parent and its
+   vector clock (so its write is ordered after the parent's). *)
+let test_ext_trace_and_hb_inherited () =
+  let engine = Sim.Engine.create () in
+  ignore (Sim.Hb.enable engine);
+  let cell = Sim.Hb.cell ~name:"ext.cell" in
+  let spans = ref [] in
+  Sim.Engine.spawn engine (fun () ->
+      let tr = Sim.Trace.start_ctx engine in
+      Sim.Trace.span "parent.op" (fun () ->
+          Sim.Hb.write cell;
+          Sim.Engine.spawn engine (fun () ->
+              Sim.Trace.span "child.op" (fun () -> Sim.Hb.write cell)));
+      Sim.Engine.sleep 1.0;
+      spans := Sim.Trace.stop_ctx tr);
+  Sim.Engine.run engine;
+  let find name = List.find (fun s -> s.Sim.Trace.name = name) !spans in
+  Alcotest.(check (option int)) "child parented to the spawn-time span"
+    (Some (find "parent.op").Sim.Trace.id)
+    (find "child.op").Sim.Trace.parent;
+  Alcotest.(check int) "child ordered after the parent" 0
+    (Sim.Hb.race_count engine)
+
+let test_ext_schedule_starts_empty () =
+  let key : int Sim.Engine.key = Sim.Engine.key () in
+  let in_callback = ref (Some 0) in
+  ignore
+    (run_sim (fun engine ->
+         Sim.Engine.spawn engine (fun () ->
+             Sim.Engine.set_local engine key (Some 7);
+             Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+                 in_callback := Sim.Engine.find_local engine key))));
+  Alcotest.(check (option int)) "a plain callback has no locals" None
+    !in_callback
+
+let test_ext_locals_survive_suspension () =
+  let key : string Sim.Engine.key = Sim.Engine.key () in
+  let seen = ref [] in
+  ignore
+    (run_sim (fun engine ->
+         let iv = Sim.Ivar.create () in
+         let look () = seen := Sim.Engine.find_local engine key :: !seen in
+         Sim.Engine.spawn engine (fun () ->
+             Sim.Engine.set_local engine key (Some "a");
+             Sim.Engine.sleep 1.0;
+             look ();
+             Sim.Ivar.read iv;
+             look ());
+         (* Another process with other values runs in between. *)
+         Sim.Engine.spawn engine (fun () ->
+             Sim.Engine.set_local engine key (Some "b");
+             Sim.Engine.sleep 2.0;
+             Sim.Ivar.fill iv ())));
+  Alcotest.(check (list (option string)))
+    "after sleep and after suspend" [ Some "a"; Some "a" ] !seen
+
+let test_ext_engine_set_none_uninstalls () =
+  let engine = Sim.Engine.create () in
+  let key : int Sim.Engine.key = Sim.Engine.key () in
+  let other : int Sim.Engine.key = Sim.Engine.key () in
+  Alcotest.(check (option int)) "nothing installed" None
+    (Sim.Engine.find engine key);
+  Sim.Engine.set engine key (Some 1);
+  Sim.Engine.set engine other (Some 2);
+  Sim.Engine.set engine key (Some 3);
+  Alcotest.(check (option int)) "replaced" (Some 3) (Sim.Engine.find engine key);
+  Sim.Engine.set engine key None;
+  Alcotest.(check (option int)) "uninstalled" None (Sim.Engine.find engine key);
+  Alcotest.(check (option int)) "other key untouched" (Some 2)
+    (Sim.Engine.find engine other)
+
+let test_ext_quiescence_order () =
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun i -> Sim.Engine.at_quiescence engine (fun () -> log := i :: !log))
+    [ 1; 2; 3 ];
+  Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 5.0);
+  Sim.Engine.run ~until:1.0 engine;
+  Alcotest.(check (list int)) "not on an until cut" [] !log;
+  Sim.Engine.run engine;
+  Alcotest.(check (list int)) "registration order" [ 1; 2; 3 ] (List.rev !log)
+
 (* {1 Ownership census hooks (SEUSS_OWN)} *)
 
 let with_own_env value f =
@@ -665,7 +783,7 @@ let test_census_hooks_run_at_quiescence () =
   Alcotest.(check bool) "armed" true (Sim.Engine.own_armed engine);
   let fired = ref 0 in
   let quiesced = ref false in
-  Sim.Engine.add_census_hook engine (fun () ->
+  Sim.Engine.at_quiescence engine (fun () ->
       incr fired;
       (* Hooks run after the last event, outside any process. *)
       quiesced := Sim.Engine.pending engine = 0);
@@ -681,7 +799,10 @@ let test_census_hooks_inert_unarmed () =
       Alcotest.(check bool) "census off by default" false
         (Sim.Engine.own_armed engine);
       let fired = ref 0 in
-      Sim.Engine.add_census_hook engine (fun () -> incr fired);
+      (* Census hooks register only on an armed engine (as
+         [Node.arm_census] does). *)
+      if Sim.Engine.own_armed engine then
+        Sim.Engine.at_quiescence engine (fun () -> incr fired);
       Sim.Engine.spawn engine (fun () -> Sim.Engine.sleep 1.0);
       Sim.Engine.run engine;
       Alcotest.(check int) "hook never runs unarmed" 0 !fired)
@@ -702,12 +823,6 @@ let () =
   let qcase = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
     [
-      ( "heap",
-        [
-          case "ordering" test_heap_ordering;
-          case "empty" test_heap_empty;
-          qcase heap_sorts_like_list;
-        ] );
       ( "prng",
         [
           case "deterministic" test_prng_deterministic;
@@ -744,6 +859,8 @@ let () =
         [
           case "engine counters" test_engine_perf_counters;
           case "zero-alloc dispatch" test_engine_zero_alloc_dispatch;
+          case "zero-alloc disarmed processes"
+            test_engine_zero_alloc_disarmed_processes;
         ] );
       ( "ivar",
         [
@@ -766,6 +883,15 @@ let () =
           case "send recv" test_channel_send_recv;
           case "multiple consumers" test_channel_multiple_consumers;
           case "recv timeout" test_channel_recv_timeout;
+        ] );
+      ( "extensions",
+        [
+          case "local keys coexist" test_ext_local_keys_coexist;
+          case "trace and hb inherited" test_ext_trace_and_hb_inherited;
+          case "schedule starts empty" test_ext_schedule_starts_empty;
+          case "locals survive suspension" test_ext_locals_survive_suspension;
+          case "engine set None uninstalls" test_ext_engine_set_none_uninstalls;
+          case "quiescence order" test_ext_quiescence_order;
         ] );
       ( "census",
         [
